@@ -8,7 +8,8 @@ of unordered containers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
 from .core import Bigraph, Digraph, Matching, Vertex
@@ -38,89 +39,175 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class Flow:
-    """Integral flow: one value per arc plus the total value and cost."""
+    """Integral flow: one value per arc plus the total value and cost.
+
+    ``potentials`` holds one node potential per network node such that every
+    residual arc has a non-negative reduced cost ``cost + pi[tail] - pi[head]``;
+    together with the absence of an augmenting path this certifies the flow
+    as a minimum-cost maximum flow in O(E). It is a certificate, not part of
+    the flow, and does not take part in equality.
+    """
 
     arc_flow: tuple[int, ...]
     value: int
     cost: int
+    potentials: tuple[int, ...] = field(default=(), compare=False)
 
 
-def min_cost_max_flow(net: FlowNetwork) -> Flow:
+def min_cost_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     """Maximum flow of minimum cost, by successive shortest augmenting paths.
 
-    Augmenting paths are found with Bellman-Ford over the residual arcs in
-    arc-index order, so the result is deterministic. Costs must be
-    non-negative on the input; residual arcs may go negative, which
-    Bellman-Ford handles exactly.
+    Each path comes from a Dijkstra search on reduced costs under node
+    potentials (Edmonds-Karp 1972, Tomizawa 1971). The search stops once the
+    sink is settled and every potential then grows by ``min(dist, dist[sink])``,
+    which keeps all residual reduced costs non-negative. Input costs are
+    non-negative, so the potentials start at zero; ``start`` may instead
+    supply a minimum-cost flow of its value together with potentials under
+    which its residual arcs have non-negative reduced costs, and augmentation
+    continues from there (a start that breaks this raises ``ValueError``). Arcs are scanned in index order and the heap is
+    keyed on ``(distance, node)``, so the result is deterministic.
     """
     arcs = net.arcs
-    flow = [0] * len(arcs)
+    nodes, source, sink = net.nodes, net.source, net.sink
+    # residual edge 2k is arc k forward, 2k + 1 its reverse
+    head: list[int] = []
+    rcap: list[int] = []
+    rcost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    for k, (u, v, cap, cost) in enumerate(arcs):
+        head += (v, u)
+        rcap += (cap, 0)
+        rcost += (cost, -cost)
+        adj[u].append(2 * k)
+        adj[v].append(2 * k + 1)
+    if start is None:
+        pot = [0] * nodes
+    else:
+        pot = _load_start(net, start, rcap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     while True:
-        dist = [_INF] * net.nodes
-        parent: list[tuple[int, int] | None] = [None] * net.nodes
-        dist[net.source] = 0
-        for _ in range(net.nodes):
-            changed = False
-            for idx, (u, v, cap, cost) in enumerate(arcs):
-                du, dv = dist[u], dist[v]
-                if flow[idx] < cap and du < _INF and du + cost < dist[v]:
-                    dist[v] = du + cost
-                    parent[v] = (idx, 1)
-                    changed = True
-                if flow[idx] > 0 and dv < _INF and dv - cost < dist[u]:
-                    dist[u] = dv - cost
-                    parent[u] = (idx, -1)
-                    changed = True
-            if not changed:
+        dist = [_INF] * nodes
+        pred = [-1] * nodes
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            if u == sink:
                 break
-        if dist[net.sink] >= _INF:
+            base = d + pot[u]
+            for e in adj[u]:
+                if rcap[e]:
+                    v = head[e]
+                    nd = base + rcost[e] - pot[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        pred[v] = e
+                        heappush(heap, (nd, v))
+        reach = dist[sink]
+        if reach >= _INF:
             break
-        # bottleneck along the parent chain, then push
+        for v in range(nodes):
+            dv = dist[v]
+            pot[v] += dv if dv < reach else reach
         bottleneck = _INF
-        node = net.sink
-        while node != net.source:
-            idx, direction = parent[node]  # type: ignore[misc]
-            u, v, cap, _ = arcs[idx]
-            bottleneck = min(bottleneck, cap - flow[idx] if direction > 0 else flow[idx])
-            node = u if direction > 0 else v
-        node = net.sink
-        while node != net.source:
-            idx, direction = parent[node]  # type: ignore[misc]
-            u, v, _, _ = arcs[idx]
-            flow[idx] += direction * bottleneck
-            node = u if direction > 0 else v
-    value = sum(flow[i] for i, (u, _, _, _) in enumerate(arcs) if u == net.source) - sum(
-        flow[i] for i, (_, v, _, _) in enumerate(arcs) if v == net.source
-    )
+        v = sink
+        while v != source:
+            e = pred[v]
+            if rcap[e] < bottleneck:
+                bottleneck = rcap[e]
+            v = head[e ^ 1]
+        v = sink
+        while v != source:
+            e = pred[v]
+            rcap[e] -= bottleneck
+            rcap[e ^ 1] += bottleneck
+            v = head[e ^ 1]
+    flow = rcap[1::2]
+    # net outflow of the source: flow on its out-arcs less flow on its in-arcs
+    value = sum(rcap[e + 1] if e % 2 == 0 else -rcap[e] for e in adj[source])
     cost = sum(f * a[3] for f, a in zip(flow, arcs))
-    return Flow(tuple(flow), value, cost)
+    return Flow(tuple(flow), value, cost, tuple(pot))
+
+
+def _load_start(net: FlowNetwork, start: Flow, rcap: list[int]) -> list[int]:
+    """Write a starting flow into the residual capacities and return its
+    potentials, after checking bounds, conservation and reduced costs."""
+    if len(start.arc_flow) != len(net.arcs) or len(start.potentials) != net.nodes:
+        raise ValueError("start flow needs one value per arc and one potential per node")
+    pot = list(start.potentials)
+    excess = [0] * net.nodes
+    for k, ((u, v, cap, cost), f) in enumerate(zip(net.arcs, start.arc_flow)):
+        if not 0 <= f <= cap:
+            raise ValueError(f"start flow on arc {k} outside [0, {cap}]")
+        rcap[2 * k], rcap[2 * k + 1] = cap - f, f
+        excess[u] -= f
+        excess[v] += f
+        reduced = cost + pot[u] - pot[v]
+        if (f < cap and reduced < 0) or (f > 0 and reduced > 0):
+            raise ValueError(f"start potentials give arc {k} a negative residual reduced cost")
+    if any(x for node, x in enumerate(excess) if node not in (net.source, net.sink)):
+        raise ValueError("start flow violates conservation")
+    return pot
 
 
 def max_matching(g: Bigraph) -> Matching:
     """Maximum-cardinality matching by augmenting paths.
 
-    Right vertices are processed in ascending order and adjacency is scanned
-    in ascending left order, which fixes the tie-breaking.
+    A greedy pass first matches each right vertex, in ascending order, to its
+    first free left neighbour. Each right vertex left unmatched then starts
+    an augmenting-path search, a depth-first search on an explicit stack
+    that scans adjacency in ascending left order. Right vertices are taken
+    in ascending order and the tie-breaking is fixed; no recursion is used,
+    so path length is bounded only by memory.
     """
     adj: list[list[int]] = [[] for _ in range(g.right + 1)]
     for r, l, _ in g.edges:
         adj[r].append(l)
-    match_of_left: dict[int, int] = {}
+    match_r = _match(adj, g.left)
+    return Matching(frozenset((r, l) for r, l in enumerate(match_r) if l))
 
-    def augment(r: int, seen: set[int]) -> bool:
+
+def _match(adj: list[list[int]], left: int) -> list[int]:
+    """The left partner of every right vertex (0 when unmatched) in a
+    maximum matching of the bigraph with right adjacency ``adj[1:]``."""
+    match_l = [0] * (left + 1)  # 0 marks a free vertex
+    match_r = [0] * len(adj)
+    for r in range(1, len(adj)):
         for l in adj[r]:
-            if l in seen:
+            if not match_l[l]:
+                match_l[l], match_r[r] = r, l
+                break
+    seen = [0] * (left + 1)  # holds the root of the last search to visit
+    for root in range(1, len(adj)):
+        if match_r[root]:
+            continue
+        rights, cursors, lefts = [root], [0], []
+        while rights:
+            r, i = rights[-1], cursors[-1]
+            nbrs = adj[r]
+            while i < len(nbrs) and seen[nbrs[i]] == root:
+                i += 1
+            if i == len(nbrs):
+                rights.pop()
+                cursors.pop()
+                if lefts:
+                    lefts.pop()
                 continue
-            seen.add(l)
-            owner = match_of_left.get(l)
-            if owner is None or augment(owner, seen):
-                match_of_left[l] = r
-                return True
-        return False
-
-    for r in range(1, g.right + 1):
-        augment(r, set())
-    return Matching(frozenset((r, l) for l, r in match_of_left.items()))
+            l = nbrs[i]
+            cursors[-1] = i + 1
+            seen[l] = root
+            owner = match_l[l]
+            lefts.append(l)
+            if owner:
+                rights.append(owner)
+                cursors.append(0)
+                continue
+            for r, l in zip(rights, lefts):  # flip the alternating path
+                match_l[l], match_r[r] = r, l
+            break
+    return match_r
 
 
 def extremal_weight_max_matching(
@@ -132,25 +219,45 @@ def extremal_weight_max_matching(
     phase pins the cardinality, so cost only discriminates among maximum
     matchings. For ``maximize`` each edge cost c is replaced by W + 1 - c
     with W the sum of all costs, keeping arc costs non-negative.
+
+    The flow starts from a maximum-cardinality matching on the edges of the
+    least arc cost c_min. That start is optimal for its value k, since every
+    flow of value k costs at least k * c_min, and potentials c_min on the
+    left part and the sink, 0 elsewhere, certify it.
     """
     if sense not in ("minimize", "maximize"):
         raise ValueError(f"unknown sense {sense!r}")
     if not g.edges:
         return Matching(frozenset())
     total = sum(c for _, _, c in g.edges)
+    costs = [c if sense == "minimize" else total + 1 - c for _, _, c in g.edges]
     source = 0
     sink = g.right + g.left + 1
     arcs: list[tuple[int, int, int, int]] = []
     for r in range(1, g.right + 1):
         arcs.append((source, r, 1, 0))
     edge_base = len(arcs)
-    for r, l, c in g.edges:
-        cost = c if sense == "minimize" else total + 1 - c
+    for (r, l, _), cost in zip(g.edges, costs):
         arcs.append((r, g.right + l, 1, cost))
+    sink_base = len(arcs)
     for l in range(1, g.left + 1):
         arcs.append((g.right + l, sink, 1, 0))
     net = FlowNetwork(sink + 1, tuple(arcs), source, sink)
-    result = min_cost_max_flow(net)
+
+    c_min = min(costs)
+    cheapest: list[list[int]] = [[] for _ in range(g.right + 1)]
+    for (r, l, _), cost in zip(g.edges, costs):
+        if cost == c_min:
+            cheapest[r].append(l)
+    seed = _match(cheapest, g.left)
+    arc_flow = [0] * len(arcs)
+    for k, (r, l, _) in enumerate(g.edges):
+        if seed[r] == l:
+            arc_flow[r - 1] = arc_flow[edge_base + k] = arc_flow[sink_base + l - 1] = 1
+    size = sum(1 for l in seed if l)
+    potentials = [0] * (g.right + 1) + [c_min] * (g.left + 1)
+    start = Flow(tuple(arc_flow), size, size * c_min, tuple(potentials))
+    result = min_cost_max_flow(net, start)
     chosen = frozenset(
         (g.edges[k][0], g.edges[k][1])
         for k in range(len(g.edges))

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported inside the numeric oracles that use it
+    import numpy as np
 
 from .core import Pattern
 from .grank import output_reachable_states
@@ -88,16 +90,19 @@ class Realization:
         return out
 
     def array(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.dense(), dtype=float)
 
 
 def sample_field_realization(M: Pattern, cfg: OracleConfig, trial: int, stream: int = 0) -> Realization:
+    import numpy as np
     rng = np.random.default_rng((cfg.seed & (1 << 64) - 1, trial, stream))
     vals = rng.integers(1, cfg.modulus, size=len(M.nonzeros))
     return Realization(M, tuple(zip(M.sorted_nonzeros(), (int(v) for v in vals))))
 
 
 def sample_real_realization(M: Pattern, cfg: OracleConfig, trial: int, stream: int = 0) -> Realization:
+    import numpy as np
     rng = np.random.default_rng((cfg.seed & (1 << 64) - 1, trial, 1000 + stream))
     mags = rng.uniform(1.0, 2.0, size=len(M.nonzeros))
     signs = rng.choice((-1.0, 1.0), size=len(M.nonzeros))
@@ -181,6 +186,7 @@ def numeric_obs_rank(
 
 
 def _float_rank(M: np.ndarray, threshold: float) -> int:
+    import numpy as np
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
@@ -188,6 +194,7 @@ def _float_rank(M: np.ndarray, threshold: float) -> int:
 
 
 def _eig_clusters(w: np.ndarray, gap: float) -> list[np.ndarray]:
+    import numpy as np
     order = np.lexsort((w.imag, w.real))
     sorted_w = w[order]
     clusters: list[list[complex]] = []
@@ -211,6 +218,7 @@ def numeric_diagonalizable(A_real: Realization, cfg: OracleConfig) -> bool:
     eigenvalues scatter far beyond working precision); each cluster must
     have a rank deficiency of A - lambda*I equal to its size.
     """
+    import numpy as np
     if A_real.pattern.rows != A_real.pattern.cols:
         raise ValueError("square realization required")
     a = A_real.array()
@@ -233,6 +241,7 @@ def numeric_diagonalizable(A_real: Realization, cfg: OracleConfig) -> bool:
 def diagonalizable_majority(A: Pattern, cfg: OracleConfig) -> bool:
     """Majority vote of :func:`numeric_diagonalizable` over random real
     realizations; failed eigensolves are resampled a bounded number of times."""
+    import numpy as np
     yes = 0
     for t in range(cfg.trials):
         for retry in range(3):
@@ -258,6 +267,7 @@ def numeric_pbh_functional(
     functional observability only for diagonalizable A; otherwise it is
     merely necessary.
     """
+    import numpy as np
     a = A_real.array()
     c = C_real.array()
     f = F_real.array()
@@ -283,6 +293,7 @@ def numeric_output_controllable(
 ) -> bool:
     """Whether rank C [B, AB, ..., A^(n-1) B] equals the output count for one
     realization; exact over the prime field when the values are integers."""
+    import numpy as np
     p = C_real.pattern.rows
     n = A_real.pattern.rows
     ints = all(

@@ -6,7 +6,7 @@ import json
 import random
 from pathlib import Path
 
-from structsys import Pattern, identity_pattern, is_generically_diagonalizable
+from structsys import Flow, FlowNetwork, Pattern, identity_pattern, is_generically_diagonalizable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -98,3 +98,69 @@ def all_patterns(n: int):
 
 def eye(n: int) -> Pattern:
     return identity_pattern(n)
+
+
+# ---------------------------------------------------------------------------
+# reference flow solver: the earlier engine, kept verbatim to check the
+# Dijkstra engine against (one Bellman-Ford pass per augmentation)
+
+_INF = 1 << 60
+
+
+def bellman_ford_min_cost_max_flow(net: FlowNetwork) -> Flow:
+    """Maximum flow of minimum cost, by successive shortest augmenting paths.
+
+    Augmenting paths are found with Bellman-Ford over the residual arcs in
+    arc-index order, so the result is deterministic. Costs must be
+    non-negative on the input; residual arcs may go negative, which
+    Bellman-Ford handles exactly.
+    """
+    arcs = net.arcs
+    flow = [0] * len(arcs)
+    while True:
+        dist = [_INF] * net.nodes
+        parent: list[tuple[int, int] | None] = [None] * net.nodes
+        dist[net.source] = 0
+        for _ in range(net.nodes):
+            changed = False
+            for idx, (u, v, cap, cost) in enumerate(arcs):
+                du, dv = dist[u], dist[v]
+                if flow[idx] < cap and du < _INF and du + cost < dist[v]:
+                    dist[v] = du + cost
+                    parent[v] = (idx, 1)
+                    changed = True
+                if flow[idx] > 0 and dv < _INF and dv - cost < dist[u]:
+                    dist[u] = dv - cost
+                    parent[u] = (idx, -1)
+                    changed = True
+            if not changed:
+                break
+        if dist[net.sink] >= _INF:
+            break
+        # bottleneck along the parent chain, then push
+        bottleneck = _INF
+        node = net.sink
+        while node != net.source:
+            idx, direction = parent[node]  # type: ignore[misc]
+            u, v, cap, _ = arcs[idx]
+            bottleneck = min(bottleneck, cap - flow[idx] if direction > 0 else flow[idx])
+            node = u if direction > 0 else v
+        node = net.sink
+        while node != net.source:
+            idx, direction = parent[node]  # type: ignore[misc]
+            u, v, _, _ = arcs[idx]
+            flow[idx] += direction * bottleneck
+            node = u if direction > 0 else v
+    value = sum(flow[i] for i, (u, _, _, _) in enumerate(arcs) if u == net.source) - sum(
+        flow[i] for i, (_, v, _, _) in enumerate(arcs) if v == net.source
+    )
+    cost = sum(f * a[3] for f, a in zip(flow, arcs))
+    return Flow(tuple(flow), value, cost)
+
+
+
+def chain_pattern(n: int) -> Pattern:
+    """The chain {(r, r), (r+1, r)} plus (1, n): full generic rank n, and a
+    matching search that meets one augmenting path through all n columns."""
+    nz = {(r, r) for r in range(1, n + 1)} | {(r + 1, r) for r in range(1, n)} | {(1, n)}
+    return Pattern(n, n, frozenset(nz))

@@ -19,7 +19,7 @@ from structsys.cli import (
     soc_report_from_dict,
     system_to_doc,
 )
-from support import fixture_path
+from support import chain_pattern, fixture_path
 
 COUNTER = fixture_path("example_counter")
 SOC = fixture_path("example_soc")
@@ -232,3 +232,13 @@ def test_dot_flow_reports_value_and_cost(capsys):
     assert code == 0
     assert "max flow 3, min cost 1" in out
     assert '"u2" -> "x2_1" [style=dashed color=red penwidth=2];' in out
+
+
+def test_grank_long_chain_exits_zero(capsys, tmp_path):
+    n = 2000
+    A = chain_pattern(n)
+    doc = {"n": n, "m": 0, "p": 0, "r": 0, "B": [], "C": [], "F": []}
+    doc["A"] = [[i, j] for i, j in A.sorted_nonzeros()]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_json(capsys, "grank", str(path), "--which", "A")["grank"] == n

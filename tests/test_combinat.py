@@ -389,3 +389,13 @@ def test_reachable_rejects_foreign_seed():
         reachable(chain_graph(), [("x", 9)], "forward")
     with pytest.raises(ValueError):
         reachable(chain_graph(), [("x", 1)], "sideways")
+
+
+def test_max_matching_long_augmenting_path():
+    # the greedy pass matches column r to row r for r < n and leaves column
+    # n, whose only row is 1, to one augmenting path through every column
+    n = 5000
+    edges = [(r, r, 0) for r in range(1, n)] + [(r, r + 1, 0) for r in range(1, n)]
+    m = max_matching(Bigraph(n, n, tuple(edges + [(n, 1, 0)])))
+    assert m.size == n
+    assert m.edges == {(r, r + 1) for r in range(1, n)} | {(n, 1)}

@@ -21,7 +21,7 @@ from structsys import (
     stack,
 )
 from structsys.oracle import field_rank, sample_field_realization
-from support import COUNTER_A, COUNTER_C, COUNTER_F, eye, rand_pattern, rand_square
+from support import COUNTER_A, COUNTER_C, COUNTER_F, chain_pattern, eye, rand_pattern, rand_square
 
 SOC_A = Pattern(5, 5, {(2, 1), (3, 2), (4, 1), (4, 5)})
 SOC_B = Pattern(5, 1, {(1, 1)})
@@ -192,3 +192,8 @@ def test_linking_matches_numeric_product_rank():
 def test_numeric_grank_counterexample():
     cfg = OracleConfig(seed=5, trials=3)
     assert numeric_grank(stack(COUNTER_A, COUNTER_C), cfg) == 3
+
+
+def test_grank_long_augmenting_chain():
+    # an augmenting path through 2000 columns once overflowed the recursion
+    assert grank(chain_pattern(2000)) == 2000
