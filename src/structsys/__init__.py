@@ -36,11 +36,13 @@ from .core import (
 from .diag import DiagReport, certificate_components, is_generically_diagonalizable, scc_induced_diagonalizable
 from .grank import (
     CactusReport,
+    Linking,
     cactus_size,
     cycle_cover_max,
     grank,
     input_cactus_size,
     linking_size,
+    max_linking,
 )
 from .oracle import (
     OracleConfig,
@@ -84,6 +86,7 @@ __all__ = [
     "Digraph",
     "Flow",
     "FlowNetwork",
+    "Linking",
     "Matching",
     "OracleConfig",
     "Pattern",
@@ -113,6 +116,7 @@ __all__ = [
     "is_sfo_diag",
     "is_soc",
     "linking_size",
+    "max_linking",
     "max_matching",
     "min_actuators_diag",
     "min_cost_max_flow",

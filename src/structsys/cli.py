@@ -17,18 +17,21 @@ import sys
 from typing import Any
 
 from . import placement as placement_mod
-from .combinat import max_matching, min_cost_max_flow
+# min_cost_max_flow is not called here, but bench/spans.py traces flow solves
+# through every module name bound to it and its tests expect this one
+from .combinat import max_matching, min_cost_max_flow  # noqa: F401
 from .core import (
     Matching,
     Pattern,
     PreconditionError,
     SystemPattern,
+    identity_pattern,
     pattern_bigraph,
     stack,
     system_digraph,
 )
 from .diag import DiagReport, is_generically_diagonalizable
-from .grank import grank, linking_network
+from .grank import Linking, grank, max_linking
 from .oracle import (
     OracleConfig,
     diagonalizable_majority,
@@ -160,7 +163,6 @@ def diag_report_dict(rep: DiagReport) -> dict:
         "grank_A": rep.grank_A,
         "v_A": rep.v_A,
         "mwmm_weight": rep.mwmm_weight,
-        "fast_path": rep.fast_path,
         "certificate": _matching_list(rep.certificate),
     }
 
@@ -172,7 +174,6 @@ def diag_report_from_dict(obj: dict) -> DiagReport:
         v_A=obj["v_A"],
         mwmm_weight=obj["mwmm_weight"],
         certificate=Matching(frozenset((r, l) for r, l in obj["certificate"])),
-        fast_path=obj["fast_path"],
     )
 
 
@@ -210,6 +211,7 @@ def soc_report_dict(rep: SocReport) -> dict:
         "grank_QAB": rep.grank_QAB,
         "linking": rep.linking,
         "input_unreachable": sorted(rep.input_unreachable),
+        "certificate": _linking_list(rep.certificate),
     }
 
 
@@ -221,7 +223,25 @@ def soc_report_from_dict(obj: dict) -> SocReport:
         grank_QAB=obj["grank_QAB"],
         linking=obj["linking"],
         input_unreachable=frozenset(obj["input_unreachable"]),
+        certificate=_linking_from_list(obj["certificate"]),
     )
+
+
+def _linking_list(link: Linking) -> list[list[str]]:
+    """Arcs of a linking as [tail, head] labels such as ["x2^2", "x3^1"]."""
+    return (
+        [[f"u{i}", f"x{j}^1"] for i, j in link.inputs]
+        + [[f"x{i}^2", f"x{j}^1"] for i, j in link.states]
+        + [[f"x{i}^1", f"y{j}"] for i, j in link.outputs]
+    )
+
+
+def _linking_from_list(arcs: list[list[str]]) -> Linking:
+    layers: dict[str, list[tuple[int, int]]] = {"inputs": [], "states": [], "outputs": []}
+    for tail, head in arcs:
+        kind = "inputs" if tail[0] == "u" else "outputs" if head[0] == "y" else "states"
+        layers[kind].append((int(tail[1:].partition("^")[0]), int(head[1:].partition("^")[0])))
+    return Linking(**{kind: tuple(pairs) for kind, pairs in layers.items()})
 
 
 def sensor_placement_dict(rep: placement_mod.SensorPlacement) -> dict:
@@ -344,39 +364,11 @@ def _cmd_sfo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _linking_certificate(a: Pattern, b: Pattern, c: Pattern) -> list[list[str]]:
-    """Arcs of one maximum linking, as [tail, head] label pairs."""
-    a_r = input_reachable_restriction(a, b)
-    net = linking_network(a_r, b, c)
-    flow = min_cost_max_flow(net)
-    n, m, p = a.rows, b.cols, c.rows
-    # arc layout in linking_network: m + n source arcs, m + 2n + p split arcs,
-    # then the B, A_r and C arcs in sorted-nonzero order, then p sink arcs
-    base = (m + n) + (m + 2 * n + p)
-    b_entries = b.sorted_nonzeros()
-    a_entries = a_r.sorted_nonzeros()
-    c_entries = c.sorted_nonzeros()
-    hot: list[list[str]] = []
-    for k, (j, i) in enumerate(b_entries):
-        if flow.arc_flow[base + k]:
-            hot.append([f"u{i}", f"x{j}^1"])
-    for k, (j, i) in enumerate(a_entries):
-        if flow.arc_flow[base + len(b_entries) + k]:
-            hot.append([f"x{i}^2", f"x{j}^1"])
-    for k, (j, i) in enumerate(c_entries):
-        if flow.arc_flow[base + len(b_entries) + len(a_entries) + k]:
-            hot.append([f"x{i}^1", f"y{j}"])
-    return hot
-
-
 def _cmd_soc(args: argparse.Namespace) -> int:
     sys_pat = load_system(args.file)
     b = sys_pat.B if sys_pat.B is not None else Pattern(sys_pat.n, 0, frozenset())
     c = _require(sys_pat, "C")
-    rep = is_soc(sys_pat.A, b, c)
-    report = soc_report_dict(rep)
-    report["certificate"] = _linking_certificate(sys_pat.A, b, c)
-    _emit(report, args.json)
+    _emit(soc_report_dict(is_soc(sys_pat.A, b, c)), args.json)
     return 0
 
 
@@ -490,6 +482,10 @@ def dot_system(sys_pat: SystemPattern) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_arcs(link: Linking) -> set[tuple[str, str]]:
+    return {(tail.replace("^", "_"), head.replace("^", "_")) for tail, head in _linking_list(link)}
+
+
 def dot_linking(sys_pat: SystemPattern) -> str:
     """Two-layer linking graph with a maximum linking drawn bold red."""
     a = sys_pat.A
@@ -500,15 +496,12 @@ def dot_linking(sys_pat: SystemPattern) -> str:
     b_entries = b.sorted_nonzeros()
     a_entries = a_r.sorted_nonzeros()
     c_entries = c.sorted_nonzeros()
-    certificate = _linking_certificate(a, b, c)
-    hot = {
-        (tail.replace("^", "_"), head.replace("^", "_")) for tail, head in certificate
-    }
-    size = sum(1 for _, head in certificate if head.startswith("y"))
+    linking = max_linking(a_r, b, c)
+    hot = _dot_arcs(linking)
     lines = [
         "digraph linking {",
         "  rankdir=LR;",
-        f'  label="maximum linking size {size}";',
+        f'  label="maximum linking size {linking.size}";',
     ]
     for i in range(1, m + 1):
         lines.append(f'  "u{i}" [shape=box style=filled fillcolor=lightblue];')
@@ -537,30 +530,18 @@ def dot_flow(sys_pat: SystemPattern) -> str:
     """Actuator-placement flow graph with the min-cost max flow drawn bold."""
     a = sys_pat.A
     c = _require(sys_pat, "C")
-    net = placement_mod.actuator_flow_network(a, c)
-    flow = min_cost_max_flow(net)
     n, p = a.rows, c.rows
     a_entries = a.sorted_nonzeros()
     c_entries = c.sorted_nonzeros()
-    cand_base = 2 * n + 3 * n + p
-    a_base = cand_base + n
-    c_base = a_base + len(a_entries)
-    hot: set[tuple[str, str]] = set()
-    costly: set[tuple[str, str]] = set()
-    for i in range(1, n + 1):
-        costly.add((f"u{i}", f"x{i}_1"))
-        if flow.arc_flow[cand_base + i - 1]:
-            hot.add((f"u{i}", f"x{i}_1"))
-    for k, (j, i) in enumerate(a_entries):
-        if flow.arc_flow[a_base + k]:
-            hot.add((f"x{i}_2", f"x{j}_1"))
-    for k, (j, i) in enumerate(c_entries):
-        if flow.arc_flow[c_base + k]:
-            hot.add((f"x{i}_1", f"y{j}"))
+    # one candidate input per state; only its arcs cost 1, so the flow's
+    # cost is the number of input arcs it uses
+    linking = max_linking(a, identity_pattern(n), c, input_cost=1)
+    hot = _dot_arcs(linking)
+    costly = {(f"u{i}", f"x{i}_1") for i in range(1, n + 1)}
     lines = [
         "digraph flow {",
         "  rankdir=LR;",
-        f'  label="max flow {flow.value}, min cost {flow.cost}";',
+        f'  label="max flow {linking.size}, min cost {len(linking.inputs)}";',
     ]
     for i in range(1, n + 1):
         lines.append(f'  "u{i}" [shape=box style=filled fillcolor=lightblue];')

@@ -15,8 +15,6 @@ from .combinat import extremal_weight_max_matching, scc
 from .core import Matching, Pattern, state_digraph
 from .grank import grank, loop_augmented_bigraph
 
-FAST_PATHS = ("all-self-loops", "acyclic-nonzero", "structurally-symmetric", "general")
-
 
 @dataclass(frozen=True)
 class DiagReport:
@@ -24,8 +22,7 @@ class DiagReport:
 
     ``certificate`` is a minimum-weight maximum matching of the loop-augmented
     bigraph; its real (non-synthetic-loop) edges form the maximal disjoint
-    cycle family. ``fast_path`` tags which shortcut class applied; the verdict
-    always comes from the general computation.
+    cycle family.
     """
 
     verdict: bool
@@ -33,25 +30,6 @@ class DiagReport:
     v_A: int
     mwmm_weight: int
     certificate: Matching
-    fast_path: str
-
-
-def _is_acyclic(A: Pattern) -> bool:
-    if any(i == j for i, j in A.nonzeros):
-        return False
-    comps = scc(state_digraph(A))
-    return all(len(c) == 1 for c in comps)
-
-
-def _fast_path(A: Pattern) -> str:
-    n = A.rows
-    if n > 0 and all((i, i) in A.nonzeros for i in range(1, n + 1)):
-        return "all-self-loops"
-    if A.nonzeros and _is_acyclic(A):
-        return "acyclic-nonzero"
-    if all((j, i) in A.nonzeros for i, j in A.nonzeros):
-        return "structurally-symmetric"
-    return "general"
 
 
 def is_generically_diagonalizable(A: Pattern) -> DiagReport:
@@ -75,7 +53,6 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
         v_A=v,
         mwmm_weight=weight,
         certificate=cert,
-        fast_path=_fast_path(A),
     )
 
 

@@ -137,10 +137,34 @@ def input_cactus_size(A: Pattern, B: Pattern) -> int:
     return cactus_size(A.transpose(), B.transpose()).size
 
 
-def linking_network(A_r: Pattern, B: Pattern, C: Pattern) -> FlowNetwork:
+@dataclass(frozen=True)
+class Linking:
+    """The arcs a maximum vertex-disjoint linking of the two-layer graph uses.
+
+    Arcs are (tail, head) index pairs in the network's arc order: ``inputs``
+    u_i -> x_j^1, ``states`` x_i^2 -> x_j^1 and ``outputs`` x_i^1 -> y_j.
+    Every linking path ends in exactly one output arc.
+    """
+
+    inputs: tuple[tuple[int, int], ...]
+    states: tuple[tuple[int, int], ...]
+    outputs: tuple[tuple[int, int], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.outputs)
+
+
+def linking_network(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -> FlowNetwork:
     """Unit-capacity node-split network whose max flow is the largest
     vertex-disjoint linking from the second layer (states and inputs) through
-    the first state layer to the outputs."""
+    the first state layer to the outputs.
+
+    Input arcs cost ``input_cost`` and every other arc costs 0. With B the
+    identity and cost 1 this is the actuator-placement network: a minimum
+    cost maximum flow routes through the state dynamics wherever it can and
+    feeds a state from its candidate input only where it must.
+    """
     if not A_r.is_square:
         raise ValueError(f"square pattern required, got {A_r.rows}x{A_r.cols}")
     n = A_r.rows
@@ -164,6 +188,8 @@ def linking_network(A_r: Pattern, B: Pattern, C: Pattern) -> FlowNetwork:
         return 1 + 2 * (m + 2 * n) + 2 * (i - 1)
 
     sink = 1 + 2 * (m + 2 * n + p)
+    # arc order, which max_linking decodes: m + n source arcs, m + 2n + p
+    # split arcs, the B, A_r and C arcs in sorted-nonzero order, p sink arcs
     arcs: list[tuple[int, int, int, int]] = []
     for i in range(1, m + 1):
         arcs.append((0, u_in(i), 1, 0))
@@ -174,7 +200,7 @@ def linking_network(A_r: Pattern, B: Pattern, C: Pattern) -> FlowNetwork:
         for i in range(1, count + 1):
             arcs.append((base(i), base(i) + 1, 1, 0))
     for j, i in B.sorted_nonzeros():  # u_i -> x_j^1
-        arcs.append((u_in(i) + 1, x1_in(j), 1, 0))
+        arcs.append((u_in(i) + 1, x1_in(j), 1, input_cost))
     for j, i in A_r.sorted_nonzeros():  # x_i^2 -> x_j^1
         arcs.append((x2_in(i) + 1, x1_in(j), 1, 0))
     for j, i in C.sorted_nonzeros():  # x_i^1 -> y_j
@@ -182,6 +208,21 @@ def linking_network(A_r: Pattern, B: Pattern, C: Pattern) -> FlowNetwork:
     for j in range(1, p + 1):
         arcs.append((y_in(j) + 1, sink, 1, 0))
     return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
+
+
+def max_linking(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -> Linking:
+    """A maximum vertex-disjoint linking, from a minimum-cost maximum flow of
+    :func:`linking_network`; with ``input_cost`` 1 it uses the fewest input
+    arcs among maximum linkings."""
+    used = min_cost_max_flow(linking_network(A_r, B, C, input_cost)).arc_flow
+    n, m, p = A_r.rows, B.cols, C.rows
+    k = (m + n) + (m + 2 * n + p)
+    layers = []
+    for M in (B, A_r, C):
+        entries = M.sorted_nonzeros()
+        layers.append(tuple((i, j) for (j, i), f in zip(entries, used[k : k + len(entries)]) if f))
+        k += len(entries)
+    return Linking(*layers)
 
 
 def linking_size(A_r: Pattern, B: Pattern, C: Pattern) -> int:

@@ -17,23 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import (
-    FlowNetwork,
-    extremal_weight_max_matching,
-    min_cost_max_flow,
-    reachable,
-    scc,
-)
+from .combinat import extremal_weight_max_matching, reachable, scc
 from .core import (
     Bigraph,
     Pattern,
     PreconditionError,
     dedicated_rows,
+    identity_pattern,
     stack,
     state_digraph,
 )
 from .diag import is_generically_diagonalizable
-from .grank import cactus_size, grank, output_reachable_states
+from .grank import cactus_size, grank, max_linking, output_reachable_states
 from .sfo import functional_states
 
 
@@ -208,57 +203,6 @@ def min_sensors_matching(A: Pattern, F: Pattern) -> SensorPlacement:
     )
 
 
-def actuator_flow_network(A: Pattern, C: Pattern) -> FlowNetwork:
-    """Node-split unit-capacity network for actuator placement.
-
-    Built from the two-layer graph with one candidate input per state;
-    candidate-input arcs cost 1 and everything else costs 0, so a minimum
-    cost maximum flow routes as much as possible through existing state
-    dynamics and exposes the states that genuinely need an actuator.
-    """
-    if not A.is_square:
-        raise ValueError(f"square state pattern required, got {A.rows}x{A.cols}")
-    if C.cols != A.cols:
-        raise ValueError(f"output pattern needs {A.cols} columns, got {C.cols}")
-    n, p = A.rows, C.rows
-
-    def u_in(i: int) -> int:
-        return 1 + 2 * (i - 1)
-
-    def x2_in(i: int) -> int:
-        return 1 + 2 * n + 2 * (i - 1)
-
-    def x1_in(i: int) -> int:
-        return 1 + 4 * n + 2 * (i - 1)
-
-    def y_in(i: int) -> int:
-        return 1 + 6 * n + 2 * (i - 1)
-
-    sink = 1 + 6 * n + 2 * p
-    arcs: list[tuple[int, int, int, int]] = []
-    for i in range(1, n + 1):
-        arcs.append((0, u_in(i), 1, 0))
-    for i in range(1, n + 1):
-        arcs.append((0, x2_in(i), 1, 0))
-    for i in range(1, n + 1):
-        arcs.append((u_in(i), u_in(i) + 1, 1, 0))
-    for i in range(1, n + 1):
-        arcs.append((x2_in(i), x2_in(i) + 1, 1, 0))
-    for i in range(1, n + 1):
-        arcs.append((x1_in(i), x1_in(i) + 1, 1, 0))
-    for j in range(1, p + 1):
-        arcs.append((y_in(j), y_in(j) + 1, 1, 0))
-    for i in range(1, n + 1):  # candidate input u_i feeding its own state
-        arcs.append((u_in(i) + 1, x1_in(i), 1, 1))
-    for j, i in A.sorted_nonzeros():  # x_i^2 -> x_j^1
-        arcs.append((x2_in(i) + 1, x1_in(j), 1, 0))
-    for j, i in C.sorted_nonzeros():  # x_i^1 -> y_j
-        arcs.append((x1_in(i) + 1, y_in(j), 1, 0))
-    for j in range(1, p + 1):
-        arcs.append((y_in(j) + 1, sink, 1, 0))
-    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
-
-
 def min_actuators_diag(A: Pattern, C: Pattern) -> ActuatorPlacement:
     """Provably minimal actuator placement for a generically diagonalizable
     state pattern whose output pattern has full generic row rank.
@@ -281,18 +225,10 @@ def min_actuators_diag(A: Pattern, C: Pattern) -> ActuatorPlacement:
         raise PreconditionError(
             f"output pattern must have full generic row rank {p}, got {grank(C)}"
         )
-    net = actuator_flow_network(A, C)
-    flow = min_cost_max_flow(net)
-    # arc layout mirrors actuator_flow_network: 2n source arcs, then the
-    # split arcs for u, x^2, x^1, y, then the candidate-input arcs
-    x2_split_base = 2 * n + n
-    cand_base = 2 * n + 3 * n + p
-    x_f1 = frozenset(
-        i for i in range(1, n + 1) if flow.arc_flow[cand_base + (i - 1)] > 0
-    )
-    x_f2 = frozenset(
-        i for i in range(1, n + 1) if flow.arc_flow[x2_split_base + (i - 1)] > 0
-    )
+    # one candidate input per state, each costing 1
+    linking = max_linking(A, identity_pattern(n), C, input_cost=1)
+    x_f1 = frozenset(j for _, j in linking.inputs)
+    x_f2 = frozenset(i for i, _ in linking.states)
     m_star = max(1, len(x_f1))
     entries = {(state, k + 1) for k, state in enumerate(sorted(x_f1))}
     connections: list[tuple[int, int, int]] = []

@@ -131,21 +131,15 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
         return SfoReport(True, method, x_f, frozenset(), gr_ac, gr_acf, frozenset())
     w = output_reachable_states(A, C)
     unreachable = x_f - w
-    if condition == "b":
-        verdict = not unreachable and gr_ac == gr_acf
-        failing: frozenset[int] = frozenset()
-        if not verdict:
-            failing = frozenset(
-                i for i in x_f if grank(stack(base, unit_row(A.cols, i))) > gr_ac
-            )
-    else:
-        if condition == "c":
-            failing = frozenset(
-                i for i in x_f if grank(stack(base, unit_row(A.cols, i))) > gr_ac
-            )
-        else:
-            failing = frozenset(i for i in x_f if in_minimal_dilation(A, C, i))
-        verdict = not unreachable and not failing
+    rank_holds = not unreachable and gr_ac == gr_acf
+    # the per-state rank test of c is also the minimal-dilation test of d
+    # (see in_minimal_dilation) and b's diagnosis when its verdict is false
+    failing: frozenset[int] = frozenset()
+    if condition != "b" or not rank_holds:
+        failing = frozenset(
+            i for i in x_f if grank(stack(base, unit_row(A.cols, i))) > gr_ac
+        )
+    verdict = rank_holds if condition == "b" else not unreachable and not failing
     return SfoReport(verdict, method, x_f, unreachable, gr_ac, gr_acf, failing)
 
 

@@ -15,17 +15,21 @@ from dataclasses import dataclass
 
 from .combinat import reachable
 from .core import Pattern, PreconditionError, SystemPattern, hstack, system_digraph
-from .grank import grank, input_cactus_size, linking_size
+from .grank import Linking, grank, input_cactus_size, max_linking
 
 
 @dataclass(frozen=True)
 class SocReport:
+    """Verdict with its rank certificates; ``certificate`` is the maximum
+    linking of (A_r, B, C) whose size is ``linking``."""
+
     verdict: str  # "soc" | "not-soc" | "undecidable"
     precondition_holds: bool
     grank_ArB: int
     grank_QAB: int
     linking: int
     input_unreachable: frozenset[int]
+    certificate: Linking
 
 
 def input_reachable_states(A: Pattern, B: Pattern) -> frozenset[int]:
@@ -64,14 +68,14 @@ def is_soc(A: Pattern, B: Pattern, C: Pattern) -> SocReport:
     p = C.rows
     if p == 0:
         raise PreconditionError("output pattern has no rows; nothing to control")
-    reach = input_reachable_states(A, B)
-    a_r = A.zeroed(rows=set(range(1, A.rows + 1)) - reach, cols=set(range(1, A.rows + 1)) - reach)
+    dead = frozenset(range(1, A.rows + 1)) - input_reachable_states(A, B)
+    a_r = A.zeroed(rows=dead, cols=dead)
     gr_arb = grank(hstack(a_r, B))
     gr_qab = input_cactus_size(A, B)
-    link = linking_size(a_r, B, C)
+    link = max_linking(a_r, B, C)
     precondition = gr_arb == gr_qab
     if precondition:
-        verdict = "soc" if link == p else "not-soc"
+        verdict = "soc" if link.size == p else "not-soc"
     else:
         verdict = "undecidable"
     return SocReport(
@@ -79,6 +83,7 @@ def is_soc(A: Pattern, B: Pattern, C: Pattern) -> SocReport:
         precondition_holds=precondition,
         grank_ArB=gr_arb,
         grank_QAB=gr_qab,
-        linking=link,
-        input_unreachable=frozenset(range(1, A.rows + 1)) - reach,
+        linking=link.size,
+        input_unreachable=dead,
+        certificate=link,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -16,10 +17,11 @@ from structsys.cli import (
     save_system,
     sensor_placement_from_dict,
     sfo_report_from_dict,
+    soc_report_dict,
     soc_report_from_dict,
     system_to_doc,
 )
-from support import chain_pattern, fixture_path
+from support import chain_pattern, fixture_path, rand_pattern, rand_square
 
 COUNTER = fixture_path("example_counter")
 SOC = fixture_path("example_soc")
@@ -242,3 +244,54 @@ def test_grank_long_chain_exits_zero(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_json(capsys, "grank", str(path), "--which", "A")["grank"] == n
+
+
+def test_soc_certificate_pinned(capsys):
+    doc = run_json(capsys, "soc", SOC)
+    assert doc["certificate"] == [["x2^2", "x3^1"], ["x1^2", "x4^1"], ["x3^1", "y1"], ["x4^1", "y2"]]
+
+
+def test_dot_flow_draws_the_pinned_flow(capsys):
+    code, out, _ = run(capsys, "export-dot", ACTUATOR, "--graph", "flow")
+    assert code == 0
+    hot = sorted(line.strip() for line in out.splitlines() if "color=red" in line)
+    assert hot == sorted([
+        '"u2" -> "x2_1" [style=dashed color=red penwidth=2];',
+        '"x2_2" -> "x4_1" [color=red penwidth=2];',
+        '"x4_2" -> "x5_1" [color=red penwidth=2];',
+        '"x4_1" -> "y1" [color=red penwidth=2];',
+        '"x5_1" -> "y2" [color=red penwidth=2];',
+        '"x2_1" -> "y3" [color=red penwidth=2];',
+    ])
+
+
+def test_soc_command_solves_two_flows(capsys, monkeypatch):
+    # one flow for the input cactus, one for the linking; the emitted
+    # certificate is the linking the report already holds. The package
+    # re-exports functions under its submodules' names (``structsys.grank``
+    # is the function), so every alias is reached through ``sys.modules``.
+    import sys
+
+    real = sys.modules["structsys.combinat"].min_cost_max_flow
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("structsys") and getattr(module, "min_cost_max_flow", None) is real:
+            monkeypatch.setattr(module, "min_cost_max_flow", counting)
+    assert run_json(capsys, "soc", SOC)["verdict"] == "soc"
+    assert len(solves) == 2
+
+
+def test_soc_report_dict_round_trip_keeps_the_certificate():
+    rnd = random.Random(46)
+    for _ in range(100):
+        n = rnd.randint(1, 6)
+        a = rand_square(rnd, n)
+        b = rand_pattern(rnd, n, rnd.randint(0, 2), 0.4)
+        c = rand_pattern(rnd, rnd.randint(1, 3), n, 0.4)
+        rep = is_soc(a, b, c)
+        assert soc_report_from_dict(json.loads(json.dumps(soc_report_dict(rep)))) == rep

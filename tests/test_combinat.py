@@ -14,6 +14,7 @@ from structsys import (
     Pattern,
     SystemPattern,
     extremal_weight_max_matching,
+    identity_pattern,
     max_matching,
     min_cost_max_flow,
     pattern_bigraph,
@@ -22,8 +23,7 @@ from structsys import (
     state_digraph,
     system_digraph,
 )
-from structsys.grank import loop_augmented_bigraph
-from structsys.placement import actuator_flow_network
+from structsys.grank import linking_network, loop_augmented_bigraph
 from support import COUNTER_A, rand_pattern
 
 
@@ -218,7 +218,7 @@ def test_flow_actuator_network_self_loop_diagonal():
     # through the state layer and no candidate input is needed
     a = Pattern(3, 3, {(1, 1), (2, 2), (3, 3)})
     c = Pattern(3, 3, {(1, 1), (2, 2), (3, 3)})
-    net = actuator_flow_network(a, c)
+    net = linking_network(a, identity_pattern(3), c, input_cost=1)
     f = min_cost_max_flow(net)
     assert (f.value, f.cost) == (3, 0)
     count, inputs = brute_force_path_systems(a, c)

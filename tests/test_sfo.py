@@ -242,3 +242,19 @@ def test_pbh_oracle_agreement_on_diagonalizable_instances():
             agree += numeric_pbh_functional(a_real, c_real, f_real, cfg) == verdict
     assert total > 100
     assert agree / total >= 0.95
+
+
+def test_diag_failing_states_are_the_minimal_dilation_members():
+    rnd = random.Random(35)
+    seen = 0
+    for _ in range(100):
+        n = rnd.randint(2, 6)
+        a = rand_gen_diag(rnd, n)
+        c = rand_pattern(rnd, rnd.randint(1, 3), n, 0.4)
+        f = rand_pattern(rnd, rnd.randint(1, 2), n, 0.4)
+        members = frozenset(i for i in functional_states(f) if in_minimal_dilation(a, c, i))
+        reps = {cond: is_sfo_diag(a, c, f, cond) for cond in ("b", "c", "d")}
+        assert reps["c"].failing_states == reps["d"].failing_states == members
+        assert reps["b"].failing_states == (frozenset() if reps["b"].verdict else members)
+        seen += bool(members)
+    assert seen > 10

@@ -173,3 +173,42 @@ def test_oracle_agreement_sample():
         )
         assert (rep.verdict == "soc") == numeric
         checked += 1
+
+
+def _check_linking(rep, a, b, c):
+    # linear-time certificate check: every arc is an edge of the two-layer
+    # graph of (A_r, B, C), no node is used twice in its layer, every
+    # first-layer state entered is left, and the size is the reported one
+    a_r = input_reachable_restriction(a, b)
+    cert = rep.certificate
+    assert all((j, i) in b.nonzeros for i, j in cert.inputs)
+    assert all((j, i) in a_r.nonzeros for i, j in cert.states)
+    assert all((j, i) in c.nonzeros for i, j in cert.outputs)
+    entered = [j for _, j in cert.inputs + cert.states]
+    left = [i for i, _ in cert.outputs]
+    layers = (
+        [i for i, _ in cert.inputs],
+        [i for i, _ in cert.states],
+        entered,
+        left,
+        [j for _, j in cert.outputs],
+    )
+    assert all(len(set(layer)) == len(layer) for layer in layers)
+    assert set(entered) == set(left)
+    assert cert.size == rep.linking
+
+
+def test_certificate_is_a_valid_linking():
+    rnd = random.Random(45)
+    arcs_seen = {"inputs": 0, "states": 0}
+    for _ in range(300):
+        n = rnd.randint(1, 7)
+        a = rand_square(rnd, n)
+        b = rand_pattern(rnd, n, rnd.randint(0, 3), 0.3)
+        c = rand_pattern(rnd, rnd.randint(1, 4), n, 0.4)
+        rep = is_soc(a, b, c)
+        _check_linking(rep, a, b, c)
+        arcs_seen["inputs"] += len(rep.certificate.inputs)
+        arcs_seen["states"] += len(rep.certificate.states)
+    assert min(arcs_seen.values()) > 50
+    _check_linking(is_soc(SOC_A, SOC_B, SOC_C), SOC_A, SOC_B, SOC_C)
