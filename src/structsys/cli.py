@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from dataclasses import fields
+from typing import Any, get_origin, get_type_hints
 
 from . import placement as placement_mod
 # min_cost_max_flow is not called here, but bench/spans.py traces flow solves
@@ -144,87 +145,61 @@ def save_system(sys_pat: SystemPattern, path: str) -> None:
 # report serialization
 
 
-def _pattern_dict(M: Pattern) -> dict:
-    return {"rows": M.rows, "cols": M.cols, "nonzeros": [[i, j] for i, j in M.sorted_nonzeros()]}
+_KINDS = {
+    "diag": DiagReport,
+    "sfo": SfoReport,
+    "soc": SocReport,
+    "sensor-placement": placement_mod.SensorPlacement,
+    "actuator-placement": placement_mod.ActuatorPlacement,
+}
 
 
-def _pattern_from_dict(obj: dict) -> Pattern:
-    return Pattern(obj["rows"], obj["cols"], frozenset((i, j) for i, j in obj["nonzeros"]))
+def _plain(value: Any) -> Any:
+    """JSON form of one report field."""
+    if isinstance(value, Pattern):
+        return {"rows": value.rows, "cols": value.cols, "nonzeros": _plain(value.nonzeros)}
+    if isinstance(value, Matching):
+        return _plain(value.edges)
+    if isinstance(value, Linking):
+        return _linking_list(value)
+    if isinstance(value, frozenset):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [list(v) if isinstance(v, tuple) else v for v in value]
+    return value
 
 
-def _matching_list(m: Matching) -> list[list[int]]:
-    return [[r, l] for r, l in sorted(m.edges)]
+def _typed(hint: Any, value: Any) -> Any:
+    """Inverse of ``_plain`` for a field annotated ``hint``."""
+    if hint is Pattern:
+        return Pattern(value["rows"], value["cols"], frozenset(map(tuple, value["nonzeros"])))
+    if hint is Matching:
+        return Matching(frozenset(map(tuple, value)))
+    if hint is Linking:
+        return _linking_from_list(value)
+    if get_origin(hint) is frozenset:
+        return frozenset(value)
+    if get_origin(hint) is tuple:
+        return tuple(map(tuple, value))
+    return value
 
 
-def diag_report_dict(rep: DiagReport) -> dict:
-    return {
-        "kind": "diag",
-        "verdict": rep.verdict,
-        "grank_A": rep.grank_A,
-        "v_A": rep.v_A,
-        "mwmm_weight": rep.mwmm_weight,
-        "certificate": _matching_list(rep.certificate),
-    }
+def report_dict(rep: Any) -> dict:
+    """JSON form of a report: its ``kind``, then every field in declaration
+    order. Sets become sorted lists, patterns ``{rows, cols, nonzeros}``,
+    matchings sorted pairs and linkings their labelled arcs."""
+    kind = {cls: name for name, cls in _KINDS.items()}[type(rep)]
+    return {"kind": kind, **{f.name: _plain(getattr(rep, f.name)) for f in fields(rep)}}
 
 
-def diag_report_from_dict(obj: dict) -> DiagReport:
-    return DiagReport(
-        verdict=obj["verdict"],
-        grank_A=obj["grank_A"],
-        v_A=obj["v_A"],
-        mwmm_weight=obj["mwmm_weight"],
-        certificate=Matching(frozenset((r, l) for r, l in obj["certificate"])),
-    )
-
-
-def sfo_report_dict(rep: SfoReport) -> dict:
-    return {
-        "kind": "sfo",
-        "verdict": rep.verdict,
-        "method": rep.method,
-        "functional_states": sorted(rep.functional_states),
-        "unreachable_functional_states": sorted(rep.unreachable_functional_states),
-        "d_AC": rep.d_AC,
-        "d_ACF": rep.d_ACF,
-        "failing_states": sorted(rep.failing_states),
-    }
-
-
-def sfo_report_from_dict(obj: dict) -> SfoReport:
-    return SfoReport(
-        verdict=obj["verdict"],
-        method=obj["method"],
-        functional_states=frozenset(obj["functional_states"]),
-        unreachable_functional_states=frozenset(obj["unreachable_functional_states"]),
-        d_AC=obj["d_AC"],
-        d_ACF=obj["d_ACF"],
-        failing_states=frozenset(obj["failing_states"]),
-    )
-
-
-def soc_report_dict(rep: SocReport) -> dict:
-    return {
-        "kind": "soc",
-        "verdict": rep.verdict,
-        "precondition_holds": rep.precondition_holds,
-        "grank_ArB": rep.grank_ArB,
-        "grank_QAB": rep.grank_QAB,
-        "linking": rep.linking,
-        "input_unreachable": sorted(rep.input_unreachable),
-        "certificate": _linking_list(rep.certificate),
-    }
-
-
-def soc_report_from_dict(obj: dict) -> SocReport:
-    return SocReport(
-        verdict=obj["verdict"],
-        precondition_holds=obj["precondition_holds"],
-        grank_ArB=obj["grank_ArB"],
-        grank_QAB=obj["grank_QAB"],
-        linking=obj["linking"],
-        input_unreachable=frozenset(obj["input_unreachable"]),
-        certificate=_linking_from_list(obj["certificate"]),
-    )
+def report_from_dict(obj: dict) -> Any:
+    """The report ``report_dict`` wrote; keys that are not fields of the
+    report named by ``kind`` are ignored."""
+    cls = _KINDS.get(obj.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown report kind {obj.get('kind')!r}")
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _typed(hints[f.name], obj[f.name]) for f in fields(cls)})
 
 
 def _linking_list(link: Linking) -> list[list[str]]:
@@ -242,50 +217,6 @@ def _linking_from_list(arcs: list[list[str]]) -> Linking:
         kind = "inputs" if tail[0] == "u" else "outputs" if head[0] == "y" else "states"
         layers[kind].append((int(tail[1:].partition("^")[0]), int(head[1:].partition("^")[0])))
     return Linking(**{kind: tuple(pairs) for kind, pairs in layers.items()})
-
-
-def sensor_placement_dict(rep: placement_mod.SensorPlacement) -> dict:
-    return {
-        "kind": "sensor-placement",
-        "C_out": _pattern_dict(rep.C_out),
-        "p_star": rep.p_star,
-        "method": rep.method,
-        "X_F_unmatched": sorted(rep.X_F_unmatched),
-        "X_S": sorted(rep.X_S),
-        "optimal": rep.optimal,
-    }
-
-
-def sensor_placement_from_dict(obj: dict) -> placement_mod.SensorPlacement:
-    return placement_mod.SensorPlacement(
-        C_out=_pattern_from_dict(obj["C_out"]),
-        p_star=obj["p_star"],
-        method=obj["method"],
-        X_F_unmatched=frozenset(obj["X_F_unmatched"]),
-        X_S=frozenset(obj["X_S"]),
-        optimal=obj["optimal"],
-    )
-
-
-def actuator_placement_dict(rep: placement_mod.ActuatorPlacement) -> dict:
-    return {
-        "kind": "actuator-placement",
-        "B_out": _pattern_dict(rep.B_out),
-        "m_star": rep.m_star,
-        "X_f1": sorted(rep.X_f1),
-        "X_f2": sorted(rep.X_f2),
-        "scc_connections": [list(t) for t in rep.scc_connections],
-    }
-
-
-def actuator_placement_from_dict(obj: dict) -> placement_mod.ActuatorPlacement:
-    return placement_mod.ActuatorPlacement(
-        B_out=_pattern_from_dict(obj["B_out"]),
-        m_star=obj["m_star"],
-        X_f1=frozenset(obj["X_f1"]),
-        X_f2=frozenset(obj["X_f2"]),
-        scc_connections=tuple(tuple(t) for t in obj["scc_connections"]),
-    )
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -314,6 +245,10 @@ def _zero_rows(sys_pat: SystemPattern, field: str) -> Pattern:
     return value if value is not None else Pattern(0, sys_pat.n, frozenset())
 
 
+def _inputs(sys_pat: SystemPattern) -> Pattern:
+    return sys_pat.B if sys_pat.B is not None else Pattern(sys_pat.n, 0, frozenset())
+
+
 def _stack_which(sys_pat: SystemPattern, which: str) -> Pattern:
     if which == "A":
         return sys_pat.A
@@ -339,7 +274,7 @@ def _cmd_grank(args: argparse.Namespace) -> int:
         "rows": target.rows,
         "cols": target.cols,
         "grank": cert.size,
-        "certificate": _matching_list(cert),
+        "certificate": _plain(cert),
     }
     _emit(report, args.json)
     return 0
@@ -348,7 +283,7 @@ def _cmd_grank(args: argparse.Namespace) -> int:
 def _cmd_diag(args: argparse.Namespace) -> int:
     sys_pat = load_system(args.file)
     rep = is_generically_diagonalizable(sys_pat.A)
-    _emit(diag_report_dict(rep), args.json)
+    _emit(report_dict(rep), args.json)
     return 0
 
 
@@ -360,15 +295,15 @@ def _cmd_sfo(args: argparse.Namespace) -> int:
         rep = is_sfo(sys_pat.A, c, f)
     else:
         rep = is_sfo_diag(sys_pat.A, c, f, args.method)
-    _emit(sfo_report_dict(rep), args.json)
+    _emit(report_dict(rep), args.json)
     return 0
 
 
 def _cmd_soc(args: argparse.Namespace) -> int:
     sys_pat = load_system(args.file)
-    b = sys_pat.B if sys_pat.B is not None else Pattern(sys_pat.n, 0, frozenset())
+    b = _inputs(sys_pat)
     c = _require(sys_pat, "C")
-    _emit(soc_report_dict(is_soc(sys_pat.A, b, c)), args.json)
+    _emit(report_dict(is_soc(sys_pat.A, b, c)), args.json)
     return 0
 
 
@@ -381,7 +316,7 @@ def _cmd_place_sensors(args: argparse.Namespace) -> int:
         rep = placement_mod.min_sensors_iterative(sys_pat.A, f)
     else:
         rep = placement_mod.min_sensors_matching(sys_pat.A, f)
-    report = sensor_placement_dict(rep)
+    report = report_dict(rep)
     report["sfo_with_output"] = is_sfo(sys_pat.A, rep.C_out, f).verdict
     _emit(report, args.json)
     return 0
@@ -391,7 +326,7 @@ def _cmd_place_actuators(args: argparse.Namespace) -> int:
     sys_pat = load_system(args.file)
     c = _require(sys_pat, "C")
     rep = placement_mod.min_actuators_diag(sys_pat.A, c)
-    report = actuator_placement_dict(rep)
+    report = report_dict(rep)
     report["soc_with_input"] = is_soc(sys_pat.A, rep.B_out, c).verdict
     _emit(report, args.json)
     return 0
@@ -428,7 +363,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             agree=structural == numeric,
         )
     else:  # soc
-        b = sys_pat.B if sys_pat.B is not None else Pattern(sys_pat.n, 0, frozenset())
+        b = _inputs(sys_pat)
         c = _require(sys_pat, "C")
         rep = is_soc(sys_pat.A, b, c)
         numeric = False
@@ -482,93 +417,50 @@ def dot_system(sys_pat: SystemPattern) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_arcs(link: Linking) -> set[tuple[str, str]]:
-    return {(tail.replace("^", "_"), head.replace("^", "_")) for tail, head in _linking_list(link)}
+def _dot_two_layer(
+    name: str, label: str, b: Pattern, a: Pattern, c: Pattern, linking: Linking, dashed: bool
+) -> str:
+    """Node-split two-layer graph of (A, B, C) with the arcs of ``linking``
+    drawn bold red; ``dashed`` draws every input arc dashed."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;", f'  label="{label}";']
+    lines += [f'  "u{i}" [shape=box style=filled fillcolor=lightblue];' for i in range(1, b.cols + 1)]
+    lines += [f'  "x{i}_2" [shape=circle label="x{i}^2"];' for i in range(1, a.rows + 1)]
+    lines += [f'  "x{i}_1" [shape=circle label="x{i}^1"];' for i in range(1, a.rows + 1)]
+    lines += [f'  "y{j}" [shape=box style=filled fillcolor=lightpink];' for j in range(1, c.rows + 1)]
+    # M[j, i] != 0 is the arc tail_i -> head_j
+    layers = (
+        ("u{}", "x{}_1", b, linking.inputs, dashed),
+        ("x{}_2", "x{}_1", a, linking.states, False),
+        ("x{}_1", "y{}", c, linking.outputs, False),
+    )
+    for tail, head, M, used, dash in layers:
+        hot = set(used)
+        for j, i in M.sorted_nonzeros():
+            attrs = ["style=dashed"] * dash + ["color=red penwidth=2"] * ((i, j) in hot)
+            suffix = f" [{' '.join(attrs)}]" if attrs else ""
+            lines.append(f'  "{tail.format(i)}" -> "{head.format(j)}"{suffix};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def dot_linking(sys_pat: SystemPattern) -> str:
     """Two-layer linking graph with a maximum linking drawn bold red."""
-    a = sys_pat.A
-    b = sys_pat.B if sys_pat.B is not None else Pattern(sys_pat.n, 0, frozenset())
+    b = _inputs(sys_pat)
     c = _require(sys_pat, "C")
-    a_r = input_reachable_restriction(a, b)
-    n, m, p = a.rows, b.cols, c.rows
-    b_entries = b.sorted_nonzeros()
-    a_entries = a_r.sorted_nonzeros()
-    c_entries = c.sorted_nonzeros()
+    a_r = input_reachable_restriction(sys_pat.A, b)
     linking = max_linking(a_r, b, c)
-    hot = _dot_arcs(linking)
-    lines = [
-        "digraph linking {",
-        "  rankdir=LR;",
-        f'  label="maximum linking size {linking.size}";',
-    ]
-    for i in range(1, m + 1):
-        lines.append(f'  "u{i}" [shape=box style=filled fillcolor=lightblue];')
-    for i in range(1, n + 1):
-        lines.append(f'  "x{i}_2" [shape=circle label="x{i}^2"];')
-    for i in range(1, n + 1):
-        lines.append(f'  "x{i}_1" [shape=circle label="x{i}^1"];')
-    for j in range(1, p + 1):
-        lines.append(f'  "y{j}" [shape=box style=filled fillcolor=lightpink];')
-
-    def edge(tail: str, head: str) -> str:
-        attr = " [color=red penwidth=2]" if (tail, head) in hot else ""
-        return f'  "{tail}" -> "{head}"{attr};'
-
-    for j, i in b_entries:
-        lines.append(edge(f"u{i}", f"x{j}_1"))
-    for j, i in a_entries:
-        lines.append(edge(f"x{i}_2", f"x{j}_1"))
-    for j, i in c_entries:
-        lines.append(edge(f"x{i}_1", f"y{j}"))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_two_layer("linking", f"maximum linking size {linking.size}", b, a_r, c, linking, False)
 
 
 def dot_flow(sys_pat: SystemPattern) -> str:
     """Actuator-placement flow graph with the min-cost max flow drawn bold."""
-    a = sys_pat.A
     c = _require(sys_pat, "C")
-    n, p = a.rows, c.rows
-    a_entries = a.sorted_nonzeros()
-    c_entries = c.sorted_nonzeros()
-    # one candidate input per state; only its arcs cost 1, so the flow's
-    # cost is the number of input arcs it uses
-    linking = max_linking(a, identity_pattern(n), c, input_cost=1)
-    hot = _dot_arcs(linking)
-    costly = {(f"u{i}", f"x{i}_1") for i in range(1, n + 1)}
-    lines = [
-        "digraph flow {",
-        "  rankdir=LR;",
-        f'  label="max flow {linking.size}, min cost {len(linking.inputs)}";',
-    ]
-    for i in range(1, n + 1):
-        lines.append(f'  "u{i}" [shape=box style=filled fillcolor=lightblue];')
-    for i in range(1, n + 1):
-        lines.append(f'  "x{i}_2" [shape=circle label="x{i}^2"];')
-    for i in range(1, n + 1):
-        lines.append(f'  "x{i}_1" [shape=circle label="x{i}^1"];')
-    for j in range(1, p + 1):
-        lines.append(f'  "y{j}" [shape=box style=filled fillcolor=lightpink];')
-
-    def edge(tail: str, head: str) -> str:
-        attrs = []
-        if (tail, head) in costly:
-            attrs.append("style=dashed")
-        if (tail, head) in hot:
-            attrs.append("color=red penwidth=2")
-        suffix = f" [{' '.join(attrs)}]" if attrs else ""
-        return f'  "{tail}" -> "{head}"{suffix};'
-
-    for i in range(1, n + 1):
-        lines.append(edge(f"u{i}", f"x{i}_1"))
-    for j, i in a_entries:
-        lines.append(edge(f"x{i}_2", f"x{j}_1"))
-    for j, i in c_entries:
-        lines.append(edge(f"x{i}_1", f"y{j}"))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # one candidate input per state; only its (dashed) arcs cost 1, so the
+    # flow's cost is the number of input arcs it uses
+    b = identity_pattern(sys_pat.n)
+    linking = max_linking(sys_pat.A, b, c, input_cost=1)
+    label = f"max flow {linking.size}, min cost {len(linking.inputs)}"
+    return _dot_two_layer("flow", label, b, sys_pat.A, c, linking, True)
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import reachable
-from .core import Pattern, PreconditionError, SystemPattern, hstack, system_digraph
-from .grank import Linking, grank, input_cactus_size, max_linking
+from .core import Pattern, PreconditionError, hstack
+from .grank import Linking, grank, input_cactus_size, max_linking, output_reachable_states
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,9 @@ class SocReport:
 
 
 def input_reachable_states(A: Pattern, B: Pattern) -> frozenset[int]:
-    """States with a directed path from some input."""
-    sys = SystemPattern(A=A, B=B if B.cols else None)
-    g = system_digraph(sys)
-    seeds = [("u", j) for j in range(1, B.cols + 1)]
-    hit = reachable(g, seeds, "forward") if seeds else frozenset()
-    return frozenset(i for kind, i in hit if kind == "x")
+    """States with a directed path from some input: by transposition
+    duality, the states of (A^T, B^T) with a path to some output."""
+    return output_reachable_states(A.transpose(), B.transpose())
 
 
 def input_reachable_restriction(A: Pattern, B: Pattern) -> Pattern:

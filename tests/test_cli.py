@@ -7,21 +7,26 @@ import random
 
 import pytest
 
-from structsys import is_generically_diagonalizable, is_sfo, is_soc, min_actuators_diag, min_sensors_diag
+from structsys import (
+    PreconditionError,
+    is_generically_diagonalizable,
+    is_sfo,
+    is_soc,
+    min_actuators_diag,
+    min_sensors_diag,
+    min_sensors_iterative,
+    min_sensors_matching,
+)
 from structsys.cli import (
-    actuator_placement_from_dict,
-    diag_report_from_dict,
     load_system,
     main,
     parse_system,
+    report_dict,
+    report_from_dict,
     save_system,
-    sensor_placement_from_dict,
-    sfo_report_from_dict,
-    soc_report_dict,
-    soc_report_from_dict,
     system_to_doc,
 )
-from support import chain_pattern, fixture_path, rand_pattern, rand_square
+from support import chain_pattern, fixture_path, rand_gen_diag, rand_pattern, rand_square
 
 COUNTER = fixture_path("example_counter")
 SOC = fixture_path("example_soc")
@@ -135,7 +140,7 @@ def test_sfo_report_values(capsys):
     assert doc["d_AC"] == 3 and doc["d_ACF"] == 4
     sys_pat = load_system(COUNTER)
     direct = is_sfo(sys_pat.A, sys_pat.C, sys_pat.F)
-    assert sfo_report_from_dict(doc) == direct
+    assert report_from_dict(doc) == direct
 
 
 def test_diag_report_values(capsys):
@@ -143,7 +148,7 @@ def test_diag_report_values(capsys):
     assert doc["verdict"] is True
     assert doc["grank_A"] == 1 and doc["v_A"] == 1
     direct = is_generically_diagonalizable(load_system(COUNTER).A)
-    assert diag_report_from_dict(doc) == direct
+    assert report_from_dict(doc) == direct
 
 
 def test_grank_zero_pattern(capsys):
@@ -169,14 +174,14 @@ def test_grank_certificate_is_checkable(capsys):
 def test_soc_report_round_trip(capsys):
     doc = run_json(capsys, "soc", SOC)
     sys_pat = load_system(SOC)
-    assert soc_report_from_dict(doc) == is_soc(sys_pat.A, sys_pat.B, sys_pat.C)
+    assert report_from_dict(doc) == is_soc(sys_pat.A, sys_pat.B, sys_pat.C)
     assert doc["verdict"] == "soc" and doc["linking"] == 2
 
 
 def test_sensor_placement_round_trip(capsys):
     doc = run_json(capsys, "place-sensors", ALG1, "--method", "alg1")
     sys_pat = load_system(ALG1)
-    assert sensor_placement_from_dict(doc) == min_sensors_diag(sys_pat.A, sys_pat.F)
+    assert report_from_dict(doc) == min_sensors_diag(sys_pat.A, sys_pat.F)
     assert doc["sfo_with_output"] is True
     assert doc["p_star"] == 1 and doc["X_S"] == [2, 4] and doc["X_F_unmatched"] == [6]
 
@@ -184,7 +189,7 @@ def test_sensor_placement_round_trip(capsys):
 def test_actuator_placement_round_trip(capsys):
     doc = run_json(capsys, "place-actuators", ACTUATOR)
     sys_pat = load_system(ACTUATOR)
-    assert actuator_placement_from_dict(doc) == min_actuators_diag(sys_pat.A, sys_pat.C)
+    assert report_from_dict(doc) == min_actuators_diag(sys_pat.A, sys_pat.C)
     assert doc["soc_with_input"] == "soc"
     assert doc["m_star"] == 1 and doc["X_f1"] == [2] and doc["X_f2"] == [2, 4]
 
@@ -287,11 +292,166 @@ def test_soc_command_solves_two_flows(capsys, monkeypatch):
 
 
 def test_soc_report_dict_round_trip_keeps_the_certificate():
+    # every report kind, certificates included, survives report_dict, JSON
+    # and report_from_dict; the placements run where their preconditions hold
     rnd = random.Random(46)
+    kinds, empty_sets, no_connections = set(), 0, 0
     for _ in range(100):
         n = rnd.randint(1, 6)
-        a = rand_square(rnd, n)
+        a = rand_gen_diag(rnd, n) if rnd.random() < 0.5 else rand_square(rnd, n)
         b = rand_pattern(rnd, n, rnd.randint(0, 2), 0.4)
         c = rand_pattern(rnd, rnd.randint(1, 3), n, 0.4)
-        rep = is_soc(a, b, c)
-        assert soc_report_from_dict(json.loads(json.dumps(soc_report_dict(rep)))) == rep
+        f = rand_pattern(rnd, rnd.randint(1, 2), n, 0.4)
+        reports = [is_generically_diagonalizable(a), is_sfo(a, c, f), is_soc(a, b, c)]
+        for place in (
+            lambda: min_sensors_diag(a, f),
+            lambda: min_sensors_iterative(a, f),
+            lambda: min_sensors_matching(a, f),
+            lambda: min_actuators_diag(a, c),
+        ):
+            try:
+                reports.append(place())
+            except PreconditionError:
+                pass
+        for rep in reports:
+            doc = report_dict(rep)
+            assert report_from_dict(json.loads(json.dumps(doc))) == rep
+            kinds.add(doc["kind"])
+            empty_sets += frozenset() in vars(rep).values()
+            no_connections += doc.get("scc_connections") == []
+    assert kinds == {"diag", "sfo", "soc", "sensor-placement", "actuator-placement"}
+    assert empty_sets and no_connections
+    with pytest.raises(ValueError, match="unknown report kind"):
+        report_from_dict({"kind": "grank", "grank": 0})
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: text mode prints a report's fields in dataclass order, and
+# the DOT writers emit nodes and arcs in a fixed order
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("diag", COUNTER),
+            "verdict: True\n"
+            "grank_A: 1\n"
+            "v_A: 1\n"
+            "mwmm_weight: 3\n"
+            "certificate: [[1, 1], [2, 2], [3, 3], [4, 4]]\n",
+        ),
+        (
+            ("sfo", COUNTER),
+            "verdict: False\n"
+            "method: general-cactus\n"
+            "functional_states: [1]\n"
+            "unreachable_functional_states: []\n"
+            "d_AC: 3\n"
+            "d_ACF: 4\n"
+            "failing_states: [1]\n",
+        ),
+        (
+            ("soc", SOC),
+            "verdict: soc\n"
+            "precondition_holds: True\n"
+            "grank_ArB: 3\n"
+            "grank_QAB: 3\n"
+            "linking: 2\n"
+            "input_unreachable: [5]\n"
+            "certificate: [['x2^2', 'x3^1'], ['x1^2', 'x4^1'], ['x3^1', 'y1'], ['x4^1', 'y2']]\n",
+        ),
+        (
+            ("place-sensors", ALG1, "--method", "alg1"),
+            "C_out: {'rows': 1, 'cols': 6, 'nonzeros': [[1, 2], [1, 4], [1, 6]]}\n"
+            "p_star: 1\n"
+            "method: alg1\n"
+            "X_F_unmatched: [6]\n"
+            "X_S: [2, 4]\n"
+            "optimal: True\n"
+            "sfo_with_output: True\n",
+        ),
+        (
+            ("place-actuators", ACTUATOR),
+            "B_out: {'rows': 5, 'cols': 1, 'nonzeros': [[2, 1]]}\n"
+            "m_star: 1\n"
+            "X_f1: [2]\n"
+            "X_f2: [2, 4]\n"
+            "scc_connections: [[2, 2, 1]]\n"
+            "soc_with_input: soc\n",
+        ),
+    ],
+)
+def test_text_reports_pinned(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+DOT_LINKING_SOC = """\
+digraph linking {
+  rankdir=LR;
+  label="maximum linking size 2";
+  "u1" [shape=box style=filled fillcolor=lightblue];
+  "x1_2" [shape=circle label="x1^2"];
+  "x2_2" [shape=circle label="x2^2"];
+  "x3_2" [shape=circle label="x3^2"];
+  "x4_2" [shape=circle label="x4^2"];
+  "x5_2" [shape=circle label="x5^2"];
+  "x1_1" [shape=circle label="x1^1"];
+  "x2_1" [shape=circle label="x2^1"];
+  "x3_1" [shape=circle label="x3^1"];
+  "x4_1" [shape=circle label="x4^1"];
+  "x5_1" [shape=circle label="x5^1"];
+  "y1" [shape=box style=filled fillcolor=lightpink];
+  "y2" [shape=box style=filled fillcolor=lightpink];
+  "u1" -> "x1_1";
+  "x1_2" -> "x2_1";
+  "x2_2" -> "x3_1" [color=red penwidth=2];
+  "x1_2" -> "x4_1" [color=red penwidth=2];
+  "x3_1" -> "y1" [color=red penwidth=2];
+  "x4_1" -> "y2" [color=red penwidth=2];
+}
+"""
+
+DOT_FLOW_ACTUATOR = """\
+digraph flow {
+  rankdir=LR;
+  label="max flow 3, min cost 1";
+  "u1" [shape=box style=filled fillcolor=lightblue];
+  "u2" [shape=box style=filled fillcolor=lightblue];
+  "u3" [shape=box style=filled fillcolor=lightblue];
+  "u4" [shape=box style=filled fillcolor=lightblue];
+  "u5" [shape=box style=filled fillcolor=lightblue];
+  "x1_2" [shape=circle label="x1^2"];
+  "x2_2" [shape=circle label="x2^2"];
+  "x3_2" [shape=circle label="x3^2"];
+  "x4_2" [shape=circle label="x4^2"];
+  "x5_2" [shape=circle label="x5^2"];
+  "x1_1" [shape=circle label="x1^1"];
+  "x2_1" [shape=circle label="x2^1"];
+  "x3_1" [shape=circle label="x3^1"];
+  "x4_1" [shape=circle label="x4^1"];
+  "x5_1" [shape=circle label="x5^1"];
+  "y1" [shape=box style=filled fillcolor=lightpink];
+  "y2" [shape=box style=filled fillcolor=lightpink];
+  "y3" [shape=box style=filled fillcolor=lightpink];
+  "u1" -> "x1_1" [style=dashed];
+  "u2" -> "x2_1" [style=dashed color=red penwidth=2];
+  "u3" -> "x3_1" [style=dashed];
+  "u4" -> "x4_1" [style=dashed];
+  "u5" -> "x5_1" [style=dashed];
+  "x4_2" -> "x2_1";
+  "x2_2" -> "x4_1" [color=red penwidth=2];
+  "x4_2" -> "x5_1" [color=red penwidth=2];
+  "x4_1" -> "y1" [color=red penwidth=2];
+  "x5_1" -> "y2" [color=red penwidth=2];
+  "x2_1" -> "y3" [color=red penwidth=2];
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "path, graph, expected",
+    [(SOC, "linking", DOT_LINKING_SOC), (ACTUATOR, "flow", DOT_FLOW_ACTUATOR)],
+)
+def test_two_layer_dot_pinned(capsys, path, graph, expected):
+    assert run(capsys, "export-dot", path, "--graph", graph) == (0, expected, "")

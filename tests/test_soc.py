@@ -10,18 +10,34 @@ from structsys import (
     OracleConfig,
     Pattern,
     PreconditionError,
+    SystemPattern,
     input_reachable_restriction,
     is_generically_diagonalizable,
     is_soc,
     numeric_output_controllable,
+    reachable,
     sample_field_realization,
+    system_digraph,
     unit_row,
 )
+from structsys.soc import input_reachable_states
 from support import eye, rand_gen_diag, rand_pattern, rand_square
 
 SOC_A = Pattern(5, 5, {(2, 1), (3, 2), (4, 1), (4, 5)})
 SOC_B = Pattern(5, 1, {(1, 1)})
 SOC_C = Pattern(2, 5, {(1, 3), (2, 4)})
+
+
+def test_input_reachable_states_is_forward_reachability_from_the_inputs():
+    rnd = random.Random(53)
+    for _ in range(300):
+        n, m = rnd.randint(1, 7), rnd.randint(0, 3)
+        a = rand_square(rnd, n)
+        b = rand_pattern(rnd, n, m, rnd.uniform(0.0, 0.5))
+        g = system_digraph(SystemPattern(A=a, B=b if m else None))
+        seeds = [("u", j) for j in range(1, m + 1)]
+        hit = reachable(g, seeds, "forward") if seeds else frozenset()
+        assert input_reachable_states(a, b) == frozenset(i for kind, i in hit if kind == "x")
 
 
 def test_restriction_all_reachable_is_identity():
