@@ -109,8 +109,8 @@ def _expect_empty(doc: dict, key: str) -> None:
 
 
 def system_to_doc(sys_pat: SystemPattern) -> dict:
-    def arr(M: Pattern | None) -> list[list[int]]:
-        return [[i, j] for i, j in M.sorted_nonzeros()] if M is not None else []
+    def arr(M: Pattern) -> list[list[int]]:
+        return [[i, j] for i, j in M.sorted_nonzeros()]
 
     return {
         "n": sys_pat.n,
@@ -235,18 +235,9 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _require(sys_pat: SystemPattern, field: str) -> Pattern:
     value = getattr(sys_pat, field)
-    if value is None:
+    if not (value.rows and value.cols):  # n >= 1 in a file, so m, p or r is 0
         raise PreconditionError(f"matrix {field} is absent (its dimension field is 0)")
     return value
-
-
-def _zero_rows(sys_pat: SystemPattern, field: str) -> Pattern:
-    value = getattr(sys_pat, field)
-    return value if value is not None else Pattern(0, sys_pat.n, frozenset())
-
-
-def _inputs(sys_pat: SystemPattern) -> Pattern:
-    return sys_pat.B if sys_pat.B is not None else Pattern(sys_pat.n, 0, frozenset())
 
 
 def _stack_which(sys_pat: SystemPattern, which: str) -> Pattern:
@@ -289,21 +280,18 @@ def _cmd_diag(args: argparse.Namespace) -> int:
 
 def _cmd_sfo(args: argparse.Namespace) -> int:
     sys_pat = load_system(args.file)
-    c = _zero_rows(sys_pat, "C")
-    f = _zero_rows(sys_pat, "F")
     if args.method == "general":
-        rep = is_sfo(sys_pat.A, c, f)
+        rep = is_sfo(sys_pat.A, sys_pat.C, sys_pat.F)
     else:
-        rep = is_sfo_diag(sys_pat.A, c, f, args.method)
+        rep = is_sfo_diag(sys_pat.A, sys_pat.C, sys_pat.F, args.method)
     _emit(report_dict(rep), args.json)
     return 0
 
 
 def _cmd_soc(args: argparse.Namespace) -> int:
     sys_pat = load_system(args.file)
-    b = _inputs(sys_pat)
     c = _require(sys_pat, "C")
-    _emit(report_dict(is_soc(sys_pat.A, b, c)), args.json)
+    _emit(report_dict(is_soc(sys_pat.A, sys_pat.B, c)), args.json)
     return 0
 
 
@@ -350,10 +338,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         numeric = diagonalizable_majority(sys_pat.A, cfg)
         report.update(structural=structural, numeric=numeric, agree=structural == numeric)
     elif args.check == "sfo":
-        c = _zero_rows(sys_pat, "C")
-        f = _zero_rows(sys_pat, "F")
-        structural = is_sfo(sys_pat.A, c, f).verdict
-        rank_oc, rank_ocf = numeric_obs_rank(sys_pat.A, c, f, cfg)
+        structural = is_sfo(sys_pat.A, sys_pat.C, sys_pat.F).verdict
+        rank_oc, rank_ocf = numeric_obs_rank(sys_pat.A, sys_pat.C, sys_pat.F, cfg)
         numeric = rank_oc == rank_ocf
         report.update(
             structural=structural,
@@ -363,7 +349,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             agree=structural == numeric,
         )
     else:  # soc
-        b = _inputs(sys_pat)
+        b = sys_pat.B
         c = _require(sys_pat, "C")
         rep = is_soc(sys_pat.A, b, c)
         numeric = False
@@ -387,14 +373,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # DOT export
 
 
-def _dot_quote(name: str) -> str:
-    return f'"{name}"'
-
-
 def dot_system(sys_pat: SystemPattern) -> str:
     """System graph; the maximal disjoint cycle family of the state pattern
     (the diagonalizability certificate) is drawn bold red."""
-    functional = sys_pat.F.column_support() if sys_pat.F is not None else frozenset()
+    functional = sys_pat.F.column_support()
     diag = is_generically_diagonalizable(sys_pat.A)
     cert_edges = {
         (("x", r), ("x", l))
@@ -445,7 +427,7 @@ def _dot_two_layer(
 
 def dot_linking(sys_pat: SystemPattern) -> str:
     """Two-layer linking graph with a maximum linking drawn bold red."""
-    b = _inputs(sys_pat)
+    b = sys_pat.B
     c = _require(sys_pat, "C")
     a_r = input_reachable_restriction(sys_pat.A, b)
     linking = max_linking(a_r, b, c)

@@ -110,9 +110,30 @@ def dedicated_rows(n: int, states: Iterable[int]) -> Pattern:
     return Pattern(len(ordered), n, frozenset((k + 1, s) for k, s in enumerate(ordered)))
 
 
+def check_shapes(
+    A: Pattern, B: Pattern | None = None, C: Pattern | None = None, F: Pattern | None = None
+) -> int:
+    """The state dimension n of a system (A, B, C, F): A must be n x n, B must
+    have n rows, and C and F must have n columns. An omitted matrix is not
+    checked. Raises ``ValueError`` naming the first broken condition."""
+    n = A.rows
+    if A.cols != n:
+        raise ValueError(f"A must be square, got {A.rows}x{A.cols}")
+    if B is not None and B.rows != n:
+        raise ValueError(f"B must have {n} rows, got {B.rows}")
+    for name, M in (("C", C), ("F", F)):
+        if M is not None and M.cols != n:
+            raise ValueError(f"{name} must have {n} columns, got {M.cols}")
+    return n
+
+
 @dataclass(frozen=True)
 class SystemPattern:
-    """Bundle of the state, input, output and functional patterns of one system."""
+    """Bundle of the state, input, output and functional patterns of one system.
+
+    An absent matrix may be passed as ``None``; it is stored as a
+    zero-dimension pattern: B as n x 0, C and F as 0 x n.
+    """
 
     A: Pattern
     B: Pattern | None = None
@@ -120,17 +141,10 @@ class SystemPattern:
     F: Pattern | None = None
 
     def __post_init__(self) -> None:
-        if not self.A.is_square:
-            raise ValueError(f"A must be square, got {self.A.rows}x{self.A.cols}")
-        if self.A.rows < 1:
-            raise ValueError("state dimension must be at least 1")
-        n = self.A.rows
-        if self.B is not None and self.B.rows != n:
-            raise ValueError(f"B must have {n} rows, got {self.B.rows}")
-        if self.C is not None and self.C.cols != n:
-            raise ValueError(f"C must have {n} columns, got {self.C.cols}")
-        if self.F is not None and self.F.cols != n:
-            raise ValueError(f"F must have {n} columns, got {self.F.cols}")
+        n = check_shapes(self.A, self.B, self.C, self.F)
+        for name, empty in (("B", Pattern(n, 0)), ("C", Pattern(0, n)), ("F", Pattern(0, n))):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, empty)
 
     @property
     def n(self) -> int:
@@ -138,15 +152,15 @@ class SystemPattern:
 
     @property
     def m(self) -> int:
-        return self.B.cols if self.B is not None else 0
+        return self.B.cols
 
     @property
     def p(self) -> int:
-        return self.C.rows if self.C is not None else 0
+        return self.C.rows
 
     @property
     def r(self) -> int:
-        return self.F.rows if self.F is not None else 0
+        return self.F.rows
 
 
 @dataclass(frozen=True)
@@ -178,12 +192,10 @@ def system_digraph(sys: SystemPattern) -> Digraph:
     edges: set[tuple[Vertex, Vertex]] = set()
     for j, i in sys.A.nonzeros:  # A[j,i] != 0  <=>  x_i -> x_j
         edges.add((("x", i), ("x", j)))
-    if sys.B is not None:
-        for j, i in sys.B.nonzeros:  # B[j,i] != 0  <=>  u_i -> x_j
-            edges.add((("u", i), ("x", j)))
-    if sys.C is not None:
-        for j, i in sys.C.nonzeros:  # C[j,i] != 0  <=>  x_i -> y_j
-            edges.add((("x", i), ("y", j)))
+    for j, i in sys.B.nonzeros:  # B[j,i] != 0  <=>  u_i -> x_j
+        edges.add((("u", i), ("x", j)))
+    for j, i in sys.C.nonzeros:  # C[j,i] != 0  <=>  x_i -> y_j
+        edges.add((("x", i), ("y", j)))
     return Digraph(tuple(vertices), frozenset(edges))
 
 
@@ -244,9 +256,6 @@ class Matching:
 
     def right_matched(self) -> frozenset[int]:
         return frozenset(r for r, _ in self.edges)
-
-    def left_matched(self) -> frozenset[int]:
-        return frozenset(l for _, l in self.edges)
 
 
 def pattern_bigraph(M: Pattern) -> Bigraph:

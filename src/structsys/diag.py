@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .combinat import extremal_weight_max_matching, scc
-from .core import Matching, Pattern, state_digraph
+from .core import Matching, Pattern, check_shapes, state_digraph
 from .grank import grank, loop_augmented_bigraph
 
 
@@ -39,9 +39,7 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
     maximum, equivalently when the minimum weight of a maximum matching of
     the loop-augmented bigraph equals n minus the generic rank.
     """
-    if not A.is_square:
-        raise ValueError(f"square pattern required, got {A.rows}x{A.cols}")
-    n = A.rows
+    n = check_shapes(A)
     g = loop_augmented_bigraph(A)
     cert = extremal_weight_max_matching(g, "minimize")
     weight = g.weight(cert)
@@ -109,8 +107,7 @@ def scc_induced_diagonalizable(A: Pattern, scc_subset: Iterable[int]) -> bool:
     :func:`structsys.combinat.scc` on the state graph. The empty union is
     diagonalizable.
     """
-    if not A.is_square:
-        raise ValueError(f"square pattern required, got {A.rows}x{A.cols}")
+    check_shapes(A)
     comps = scc(state_digraph(A))
     chosen = sorted(set(scc_subset))
     for k in chosen:

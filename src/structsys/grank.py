@@ -24,6 +24,7 @@ from .core import (
     Matching,
     Pattern,
     SystemPattern,
+    check_shapes,
     pattern_bigraph,
     system_digraph,
 )
@@ -41,22 +42,20 @@ def loop_augmented_bigraph(A: Pattern) -> Bigraph:
     The identity is always a perfect matching here, and the minimum weight of
     a maximum matching counts how many synthetic loops are unavoidable.
     """
-    if not A.is_square:
-        raise ValueError(f"square pattern required, got {A.rows}x{A.cols}")
+    n = check_shapes(A)
     edges = [(j, i, 0) for i, j in A.sorted_nonzeros()]
-    edges += [(i, i, 1) for i in range(1, A.rows + 1) if (i, i) not in A.nonzeros]
-    return Bigraph(A.rows, A.rows, tuple(edges))
+    edges += [(i, i, 1) for i in range(1, n + 1) if (i, i) not in A.nonzeros]
+    return Bigraph(n, n, tuple(edges))
 
 
 def cycle_cover_max(A: Pattern) -> int:
     """Largest number of state vertices covered by vertex-disjoint cycles."""
-    if not A.is_square:
-        raise ValueError(f"square pattern required, got {A.rows}x{A.cols}")
-    if A.rows == 0:
+    n = check_shapes(A)
+    if n == 0:
         return 0
     g = loop_augmented_bigraph(A)
     m = extremal_weight_max_matching(g, "minimize")
-    return A.rows - g.weight(m)
+    return n - g.weight(m)
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,7 @@ class CactusReport:
 
 def output_reachable_states(A: Pattern, C: Pattern) -> frozenset[int]:
     """States with a directed path to some output."""
-    sys = SystemPattern(A=A, C=C if C.rows else None)
-    g = system_digraph(sys)
+    g = system_digraph(SystemPattern(A=A, C=C))
     seeds = [("y", j) for j in range(1, C.rows + 1)]
     hit = reachable(g, seeds, "backward") if seeds else frozenset()
     return frozenset(i for kind, i in hit if kind == "x")
@@ -94,11 +92,7 @@ def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
     weight ranks configurations by covered states first and by fewer stems
     second.
     """
-    if not A.is_square:
-        raise ValueError(f"square pattern required, got {A.rows}x{A.cols}")
-    if C.cols != A.cols:
-        raise ValueError(f"output pattern needs {A.cols} columns, got {C.cols}")
-    n, p = A.rows, C.rows
+    n, p = check_shapes(A, C=C), C.rows
     q = p
     w = output_reachable_states(A, C)
     edges: list[tuple[int, int, int]] = []
@@ -132,8 +126,7 @@ def cactus_size(A: Pattern, C: Pattern) -> CactusReport:
 def input_cactus_size(A: Pattern, B: Pattern) -> int:
     """Maximum input cactus size, via transposition duality: input stems and
     cycles of (A, B) are output stems and cycles of (A^T, B^T)."""
-    if B.rows != A.rows:
-        raise ValueError(f"input pattern needs {A.rows} rows, got {B.rows}")
+    check_shapes(A, B)
     return cactus_size(A.transpose(), B.transpose()).size
 
 
@@ -165,14 +158,7 @@ def linking_network(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -
     cost maximum flow routes through the state dynamics wherever it can and
     feeds a state from its candidate input only where it must.
     """
-    if not A_r.is_square:
-        raise ValueError(f"square pattern required, got {A_r.rows}x{A_r.cols}")
-    n = A_r.rows
-    if B.rows != n:
-        raise ValueError(f"input pattern needs {n} rows, got {B.rows}")
-    if C.cols != n:
-        raise ValueError(f"output pattern needs {n} columns, got {C.cols}")
-    m, p = B.cols, C.rows
+    n, m, p = check_shapes(A_r, B, C), B.cols, C.rows
 
     # node ids: source, then in/out pairs for u_1..u_m, x^2, x^1, y
     def u_in(i: int) -> int:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # numpy is imported inside the numeric oracles that use it
     import numpy as np
 
-from .core import Pattern
+from .core import Pattern, check_shapes
 from .grank import output_reachable_states
 from .sfo import functional_states, sfo_feasible
 from .soc import is_soc
@@ -168,8 +168,7 @@ def numeric_obs_rank(
 ) -> tuple[int, int]:
     """Exact prime-field ranks of the observability matrix and of that matrix
     with the functional rows appended, each maximized over trials."""
-    if C.cols != A.cols or (F is not None and F.cols != A.cols):
-        raise ValueError("output and functional patterns need matching column counts")
+    check_shapes(A, C=C, F=F)
     best_oc, best_ocf = 0, 0
     for t in range(cfg.trials):
         a = sample_field_realization(A, cfg, t, stream=1).dense()

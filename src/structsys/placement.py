@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import extremal_weight_max_matching, reachable, scc
+from .combinat import extremal_weight_max_matching, scc
 from .core import (
     Bigraph,
     Pattern,
     PreconditionError,
+    check_shapes,
     dedicated_rows,
     identity_pattern,
     stack,
@@ -61,10 +62,7 @@ class ActuatorPlacement:
 
 
 def _require_functional(A: Pattern, F: Pattern) -> frozenset[int]:
-    if not A.is_square:
-        raise ValueError(f"square state pattern required, got {A.rows}x{A.cols}")
-    if F.cols != A.cols:
-        raise ValueError(f"functional pattern needs {A.cols} columns, got {F.cols}")
+    check_shapes(A, F=F)
     x_f = functional_states(F)
     if not x_f:
         raise PreconditionError("functional pattern has no nonzero column; nothing to estimate")
@@ -186,12 +184,9 @@ def min_sensors_matching(A: Pattern, F: Pattern) -> SensorPlacement:
     x_h = sorted(r for r, l in report.certificate.edges if r <= n < l)
     rows = max(1, len(x_h))
     entries = {(k + 1, state) for k, state in enumerate(x_h)}
-    g = state_digraph(A)
-    anchors = set(x_h)
-    for state in sorted(x_f - anchors):
-        fwd = reachable(g, [("x", state)], "forward")
-        if not anchors & {i for _, i in fwd}:
-            entries.add((1, state))
+    # a state reaches some x_h state iff it reaches that state's dedicated output
+    anchored = output_reachable_states(A, dedicated_rows(n, x_h))
+    entries |= {(1, state) for state in x_f - anchored}
     c_out = Pattern(rows, n, frozenset(entries))
     return SensorPlacement(
         C_out=c_out,
@@ -212,11 +207,7 @@ def min_actuators_diag(A: Pattern, C: Pattern) -> ActuatorPlacement:
     in the second state layer additionally gets one entry (smallest state,
     column 1) so those flow paths start input-reachable.
     """
-    if not A.is_square:
-        raise ValueError(f"square state pattern required, got {A.rows}x{A.cols}")
-    if C.cols != A.cols:
-        raise ValueError(f"output pattern needs {A.cols} columns, got {C.cols}")
-    n, p = A.rows, C.rows
+    n, p = check_shapes(A, C=C), C.rows
     if p == 0:
         raise PreconditionError("output pattern has no rows; nothing to control")
     if not is_generically_diagonalizable(A).verdict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import Pattern, PreconditionError, stack, unit_row
+from .core import Pattern, PreconditionError, check_shapes, stack, unit_row
 from .diag import is_generically_diagonalizable
 from .grank import cactus_size, grank, output_reachable_states
 
@@ -44,18 +44,9 @@ def functional_states(F: Pattern) -> frozenset[int]:
     return F.column_support()
 
 
-def _check_triple(A: Pattern, C: Pattern, F: Pattern) -> None:
-    if not A.is_square:
-        raise ValueError(f"square state pattern required, got {A.rows}x{A.cols}")
-    if C.cols != A.cols:
-        raise ValueError(f"output pattern needs {A.cols} columns, got {C.cols}")
-    if F.cols != A.cols:
-        raise ValueError(f"functional pattern needs {A.cols} columns, got {F.cols}")
-
-
 def sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
     """Bare SFO verdict, skipping the per-state diagnosis of :func:`is_sfo`."""
-    _check_triple(A, C, F)
+    check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
     if not x_f:
         return True
@@ -72,7 +63,7 @@ def is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
     appending the functional rows leaves the maximum cactus size unchanged.
     An empty functional set is vacuously observable.
     """
-    _check_triple(A, C, F)
+    check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
     d_ac = cactus_size(A, C).size
     if not x_f:
@@ -96,12 +87,9 @@ def in_minimal_dilation(A: Pattern, C: Pattern, i: int) -> bool:
     raises the generic rank of the stacked state/output pattern exactly when
     the state sits in some minimal dilation.
     """
-    if not A.is_square:
-        raise ValueError(f"square state pattern required, got {A.rows}x{A.cols}")
-    if C.cols != A.cols:
-        raise ValueError(f"output pattern needs {A.cols} columns, got {C.cols}")
-    if not 1 <= i <= A.rows:
-        raise ValueError(f"state index {i} out of range 1..{A.rows}")
+    n = check_shapes(A, C=C)
+    if not 1 <= i <= n:
+        raise ValueError(f"state index {i} out of range 1..{n}")
     base = stack(A, C)
     return grank(stack(base, unit_row(A.cols, i))) > grank(base)
 
@@ -114,7 +102,7 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
     "d" tests minimal-dilation membership per functional state. All three
     agree with each other and with :func:`is_sfo` on diagonalizable inputs.
     """
-    _check_triple(A, C, F)
+    check_shapes(A, C=C, F=F)
     if condition not in ("b", "c", "d"):
         raise ValueError(f"unknown condition {condition!r}")
     if not is_generically_diagonalizable(A).verdict:
@@ -157,7 +145,7 @@ def sfo_preserved_under_functional_edge_addition(
     augmented triple stays SFO; this function recomputes the verdict rather
     than assuming it.
     """
-    _check_triple(A, C, F)
+    check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
     entries = set(C.nonzeros)
     for state, row in added_edges:

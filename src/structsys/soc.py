@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Pattern, PreconditionError, hstack
+from .core import Pattern, PreconditionError, check_shapes, hstack
 from .grank import Linking, grank, input_cactus_size, max_linking, output_reachable_states
 
 
@@ -39,11 +39,8 @@ def input_reachable_states(A: Pattern, B: Pattern) -> frozenset[int]:
 
 def input_reachable_restriction(A: Pattern, B: Pattern) -> Pattern:
     """Copy of A with the rows and columns of input-unreachable states zeroed."""
-    if not A.is_square:
-        raise ValueError(f"square state pattern required, got {A.rows}x{A.cols}")
-    if B.rows != A.rows:
-        raise ValueError(f"input pattern needs {A.rows} rows, got {B.rows}")
-    dead = set(range(1, A.rows + 1)) - input_reachable_states(A, B)
+    n = check_shapes(A, B)
+    dead = set(range(1, n + 1)) - input_reachable_states(A, B)
     return A.zeroed(rows=dead, cols=dead)
 
 
@@ -55,16 +52,10 @@ def is_soc(A: Pattern, B: Pattern, C: Pattern) -> SocReport:
     "undecidable" and both rank certificates are reported so a caller can
     fall back to a randomized numeric check.
     """
-    if not A.is_square:
-        raise ValueError(f"square state pattern required, got {A.rows}x{A.cols}")
-    if B.rows != A.rows:
-        raise ValueError(f"input pattern needs {A.rows} rows, got {B.rows}")
-    if C.cols != A.cols:
-        raise ValueError(f"output pattern needs {A.cols} columns, got {C.cols}")
-    p = C.rows
+    n, p = check_shapes(A, B, C), C.rows
     if p == 0:
         raise PreconditionError("output pattern has no rows; nothing to control")
-    dead = frozenset(range(1, A.rows + 1)) - input_reachable_states(A, B)
+    dead = frozenset(range(1, n + 1)) - input_reachable_states(A, B)
     a_r = A.zeroed(rows=dead, cols=dead)
     gr_arb = grank(hstack(a_r, B))
     gr_qab = input_cactus_size(A, B)

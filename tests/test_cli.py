@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,16 @@ def test_grank_long_chain_exits_zero(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_json(capsys, "grank", str(path), "--which", "A")["grank"] == n
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, structsys.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_soc_certificate_pinned(capsys):

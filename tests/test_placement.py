@@ -22,8 +22,10 @@ from structsys import (
     min_sensors_iterative,
     min_sensors_matching,
     numeric_output_controllable,
+    reachable,
     sample_field_realization,
     stack,
+    state_digraph,
 )
 from structsys.grank import cactus_bigraph, cactus_size
 from structsys.oracle import brute_min_sensors_constrained
@@ -171,6 +173,38 @@ def test_alg3_single_state():
     placement = min_sensors_matching(Pattern(1, 1), Pattern(1, 1, {(1, 1)}))
     assert placement.p_star == 1
     assert placement.C_out.nonzeros == {(1, 1)}
+
+
+def _alg3_per_state_reference(a: Pattern, f: Pattern) -> tuple[Pattern, list[int]]:
+    # one forward search per functional state: it gets a row-1 entry unless
+    # it reaches a state matched into a dedicated output
+    n, x_f = a.rows, f.column_support()
+    cert = cactus_size(a, dedicated_rows(n, x_f)).certificate
+    x_h = sorted(r for r, l in cert.edges if r <= n < l)
+    entries = {(k + 1, state) for k, state in enumerate(x_h)}
+    g = state_digraph(a)
+    for state in sorted(x_f - set(x_h)):
+        fwd = reachable(g, [("x", state)], "forward")
+        if not set(x_h) & {i for _, i in fwd}:
+            entries.add((1, state))
+    return Pattern(max(1, len(x_h)), n, frozenset(entries)), x_h
+
+
+def test_alg3_one_pass_matches_the_per_state_searches():
+    rnd = random.Random(57)
+    empty_x_h = 0
+    for trial in range(300):
+        n = rnd.randint(1, 8)
+        a = rand_square(rnd, n)
+        if trial % 3 == 0:  # self-loops let cycles cover every functional state
+            a = Pattern(n, n, a.nonzeros | {(i, i) for i in range(1, n + 1)})
+        f = rand_pattern(rnd, rnd.randint(1, 2), n, 0.5)
+        if not f.column_support():
+            continue
+        expected, x_h = _alg3_per_state_reference(a, f)
+        empty_x_h += not x_h
+        assert min_sensors_matching(a, f).C_out == expected
+    assert empty_x_h >= 20
 
 
 def test_alg2_single_functional_state():

@@ -11,10 +11,12 @@ from structsys import (
     Pattern,
     PreconditionError,
     brute_force,
+    cactus_size,
     functional_states,
     in_minimal_dilation,
     is_sfo,
     is_sfo_diag,
+    is_soc,
     numeric_obs_rank,
     sfo_feasible,
     sfo_preserved_under_functional_edge_addition,
@@ -68,6 +70,14 @@ def test_full_measurement_is_sfo():
 def test_is_sfo_rejects_mismatch():
     with pytest.raises(ValueError):
         is_sfo(COUNTER_A, Pattern(1, 3), COUNTER_F)
+
+
+def test_zero_state_system_is_decided():
+    z = Pattern(0, 0)
+    assert is_sfo(z, z, z).verdict == is_sfo_diag(z, z, z, "b").verdict
+    assert sfo_feasible(z, z, z)
+    assert cactus_size(z, z).size == 0
+    assert is_soc(z, Pattern(0, 1), Pattern(1, 0)).verdict == "not-soc"
 
 
 def test_diag_condition_b_counterexample():
