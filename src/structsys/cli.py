@@ -6,7 +6,8 @@ positions. Absent matrices are encoded as empty arrays with their dimension
 field set to 0; unknown keys are rejected.
 
 Exit codes: 0 the analysis ran (the verdict is in the report), 2 a
-precondition was violated, 1 an I/O, usage or parse error occurred.
+precondition was violated, 1 an I/O, usage or parse error occurred or the
+analysis ran out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -519,11 +520,8 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except (SystemFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError, RecursionError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,7 @@ from .core import Bigraph, Digraph, Matching, Vertex
 _INF = 1 << 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowNetwork:
     """Arc-list flow network with integer capacities and costs."""
 
@@ -37,7 +37,7 @@ class FlowNetwork:
                 raise ValueError(f"arc ({tail},{head}) needs non-negative capacity and cost")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
     """Integral flow: one value per arc plus the total value and cost.
 
@@ -54,18 +54,26 @@ class Flow:
     potentials: tuple[int, ...] = field(default=(), compare=False)
 
 
-def min_cost_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
-    """Maximum flow of minimum cost, by successive shortest augmenting paths.
+def min_cost_max_flow(net: FlowNetwork) -> Flow:
+    """Maximum flow of minimum cost, by the primal-dual method.
 
-    Each path comes from a Dijkstra search on reduced costs under node
+    Each phase runs one Dijkstra search on reduced costs under node
     potentials (Edmonds-Karp 1972, Tomizawa 1971). The search stops once the
     sink is settled and every potential then grows by ``min(dist, dist[sink])``,
-    which keeps all residual reduced costs non-negative. Input costs are
-    non-negative, so the potentials start at zero; ``start`` may instead
-    supply a minimum-cost flow of its value together with potentials under
-    which its residual arcs have non-negative reduced costs, and augmentation
-    continues from there (a start that breaks this raises ``ValueError``). Arcs are scanned in index order and the heap is
-    keyed on ``(distance, node)``, so the result is deterministic.
+    which keeps all residual reduced costs non-negative and gives every
+    shortest path reduced cost zero. The phase then augments along paths of
+    zero-reduced-cost arcs by blocking flows until none is left (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, ch. 9; Hopcroft & Karp 1973):
+    BFS levels from the source, then a search back from the sink along
+    level-decreasing arcs, with a current-arc pointer per node and dead
+    nodes dropped. Input costs are non-negative, so every run starts cold,
+    from zero potentials; on a matching network the first phase already
+    finds a maximum matching on the cheapest edge class.
+
+    The result is deterministic: arcs are scanned in index order, the heap
+    is keyed on ``(distance, node)``, and where several optima tie, the
+    search back from the sink takes at every node the admissible arc of
+    lowest index.
     """
     arcs = net.arcs
     nodes, source, sink = net.nodes, net.source, net.sink
@@ -80,14 +88,10 @@ def min_cost_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
         rcost += (cost, -cost)
         adj[u].append(2 * k)
         adj[v].append(2 * k + 1)
-    if start is None:
-        pot = [0] * nodes
-    else:
-        pot = _load_start(net, start, rcap)
+    pot = [0] * nodes
     heappush, heappop = heapq.heappush, heapq.heappop
     while True:
         dist = [_INF] * nodes
-        pred = [-1] * nodes
         dist[source] = 0
         heap = [(0, source)]
         while heap:
@@ -103,7 +107,6 @@ def min_cost_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
                     nd = base + rcost[e] - pot[v]
                     if nd < dist[v]:
                         dist[v] = nd
-                        pred[v] = e
                         heappush(heap, (nd, v))
         reach = dist[sink]
         if reach >= _INF:
@@ -111,45 +114,52 @@ def min_cost_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
         for v in range(nodes):
             dv = dist[v]
             pot[v] += dv if dv < reach else reach
-        bottleneck = _INF
-        v = sink
-        while v != source:
-            e = pred[v]
-            if rcap[e] < bottleneck:
-                bottleneck = rcap[e]
-            v = head[e ^ 1]
-        v = sink
-        while v != source:
-            e = pred[v]
-            rcap[e] -= bottleneck
-            rcap[e ^ 1] += bottleneck
-            v = head[e ^ 1]
+        while True:  # blocking flows on the arcs of zero reduced cost
+            level = [-1] * nodes
+            level[source] = 0
+            queue = [source]
+            for u in queue:
+                lu, pu = level[u] + 1, pot[u]
+                for e in adj[u]:
+                    v = head[e]
+                    if rcap[e] and level[v] < 0 and rcost[e] + pu == pot[v]:
+                        level[v] = lu
+                        queue.append(v)
+                if level[sink] >= 0:
+                    break
+            else:  # the sink is out of reach: the phase is over
+                break
+            cursor = [0] * nodes
+            path: list[int] = []  # edges from the current node back to the sink
+            while True:
+                v = head[path[-1] ^ 1] if path else sink
+                if v == source:
+                    bottleneck = min(rcap[e] for e in path)
+                    for e in path:
+                        rcap[e] -= bottleneck
+                        rcap[e ^ 1] += bottleneck
+                    path = []
+                    continue
+                out, i = adj[v], cursor[v]
+                lu, pv = level[v] - 1, pot[v]
+                while i < len(out):
+                    u, e = head[out[i]], out[i] ^ 1
+                    if rcap[e] and level[u] == lu and rcost[e] + pot[u] == pv:
+                        break
+                    i += 1
+                cursor[v] = i
+                if i < len(out):
+                    path.append(e)
+                elif path:  # dead end: drop the node and step back
+                    level[v] = -1
+                    path.pop()
+                else:
+                    break
     flow = rcap[1::2]
     # net outflow of the source: flow on its out-arcs less flow on its in-arcs
     value = sum(rcap[e + 1] if e % 2 == 0 else -rcap[e] for e in adj[source])
     cost = sum(f * a[3] for f, a in zip(flow, arcs))
     return Flow(tuple(flow), value, cost, tuple(pot))
-
-
-def _load_start(net: FlowNetwork, start: Flow, rcap: list[int]) -> list[int]:
-    """Write a starting flow into the residual capacities and return its
-    potentials, after checking bounds, conservation and reduced costs."""
-    if len(start.arc_flow) != len(net.arcs) or len(start.potentials) != net.nodes:
-        raise ValueError("start flow needs one value per arc and one potential per node")
-    pot = list(start.potentials)
-    excess = [0] * net.nodes
-    for k, ((u, v, cap, cost), f) in enumerate(zip(net.arcs, start.arc_flow)):
-        if not 0 <= f <= cap:
-            raise ValueError(f"start flow on arc {k} outside [0, {cap}]")
-        rcap[2 * k], rcap[2 * k + 1] = cap - f, f
-        excess[u] -= f
-        excess[v] += f
-        reduced = cost + pot[u] - pot[v]
-        if (f < cap and reduced < 0) or (f > 0 and reduced > 0):
-            raise ValueError(f"start potentials give arc {k} a negative residual reduced cost")
-    if any(x for node, x in enumerate(excess) if node not in (net.source, net.sink)):
-        raise ValueError("start flow violates conservation")
-    return pot
 
 
 def max_matching(g: Bigraph) -> Matching:
@@ -165,21 +175,14 @@ def max_matching(g: Bigraph) -> Matching:
     adj: list[list[int]] = [[] for _ in range(g.right + 1)]
     for r, l, _ in g.edges:
         adj[r].append(l)
-    match_r = _match(adj, g.left)
-    return Matching(frozenset((r, l) for r, l in enumerate(match_r) if l))
-
-
-def _match(adj: list[list[int]], left: int) -> list[int]:
-    """The left partner of every right vertex (0 when unmatched) in a
-    maximum matching of the bigraph with right adjacency ``adj[1:]``."""
-    match_l = [0] * (left + 1)  # 0 marks a free vertex
+    match_l = [0] * (g.left + 1)  # 0 marks a free vertex
     match_r = [0] * len(adj)
     for r in range(1, len(adj)):
         for l in adj[r]:
             if not match_l[l]:
                 match_l[l], match_r[r] = r, l
                 break
-    seen = [0] * (left + 1)  # holds the root of the last search to visit
+    seen = [0] * (g.left + 1)  # holds the root of the last search to visit
     for root in range(1, len(adj)):
         if match_r[root]:
             continue
@@ -207,7 +210,7 @@ def _match(adj: list[list[int]], left: int) -> list[int]:
             for r, l in zip(rights, lefts):  # flip the alternating path
                 match_l[l], match_r[r] = r, l
             break
-    return match_r
+    return Matching(frozenset((r, l) for r, l in enumerate(match_r) if l))
 
 
 def extremal_weight_max_matching(
@@ -219,51 +222,20 @@ def extremal_weight_max_matching(
     phase pins the cardinality, so cost only discriminates among maximum
     matchings. For ``maximize`` each edge cost c is replaced by W + 1 - c
     with W the sum of all costs, keeping arc costs non-negative.
-
-    The flow starts from a maximum-cardinality matching on the edges of the
-    least arc cost c_min. That start is optimal for its value k, since every
-    flow of value k costs at least k * c_min, and potentials c_min on the
-    left part and the sink, 0 elsewhere, certify it.
     """
     if sense not in ("minimize", "maximize"):
         raise ValueError(f"unknown sense {sense!r}")
     if not g.edges:
         return Matching(frozenset())
     total = sum(c for _, _, c in g.edges)
-    costs = [c if sense == "minimize" else total + 1 - c for _, _, c in g.edges]
-    source = 0
     sink = g.right + g.left + 1
-    arcs: list[tuple[int, int, int, int]] = []
-    for r in range(1, g.right + 1):
-        arcs.append((source, r, 1, 0))
-    edge_base = len(arcs)
-    for (r, l, _), cost in zip(g.edges, costs):
-        arcs.append((r, g.right + l, 1, cost))
-    sink_base = len(arcs)
-    for l in range(1, g.left + 1):
-        arcs.append((g.right + l, sink, 1, 0))
-    net = FlowNetwork(sink + 1, tuple(arcs), source, sink)
-
-    c_min = min(costs)
-    cheapest: list[list[int]] = [[] for _ in range(g.right + 1)]
-    for (r, l, _), cost in zip(g.edges, costs):
-        if cost == c_min:
-            cheapest[r].append(l)
-    seed = _match(cheapest, g.left)
-    arc_flow = [0] * len(arcs)
-    for k, (r, l, _) in enumerate(g.edges):
-        if seed[r] == l:
-            arc_flow[r - 1] = arc_flow[edge_base + k] = arc_flow[sink_base + l - 1] = 1
-    size = sum(1 for l in seed if l)
-    potentials = [0] * (g.right + 1) + [c_min] * (g.left + 1)
-    start = Flow(tuple(arc_flow), size, size * c_min, tuple(potentials))
-    result = min_cost_max_flow(net, start)
-    chosen = frozenset(
-        (g.edges[k][0], g.edges[k][1])
-        for k in range(len(g.edges))
-        if result.arc_flow[edge_base + k] > 0
-    )
-    return Matching(chosen)
+    arcs = [(0, r, 1, 0) for r in range(1, g.right + 1)]
+    arcs += [
+        (r, g.right + l, 1, c if sense == "minimize" else total + 1 - c) for r, l, c in g.edges
+    ]
+    arcs += [(g.right + l, sink, 1, 0) for l in range(1, g.left + 1)]
+    used = min_cost_max_flow(FlowNetwork(sink + 1, tuple(arcs), 0, sink)).arc_flow[g.right :]
+    return Matching(frozenset((r, l) for (r, l, _), f in zip(g.edges, used) if f))
 
 
 def scc(g: Digraph) -> list[frozenset[Vertex]]:

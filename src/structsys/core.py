@@ -7,7 +7,7 @@ Indices are 1-based throughout, including the on-disk file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 
@@ -19,7 +19,7 @@ Entry = tuple[int, int]
 Vertex = tuple[str, int]  # ("x" | "u" | "y", 1-based index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
     """Zero/nonzero structure of a matrix.
 
@@ -30,6 +30,7 @@ class Pattern:
     rows: int
     cols: int
     nonzeros: frozenset[Entry] = field(default_factory=frozenset)
+    _columns: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nonzeros", frozenset(self.nonzeros))
@@ -50,8 +51,11 @@ class Pattern:
         return Pattern(self.cols, self.rows, frozenset((j, i) for i, j in self.nonzeros))
 
     def column_support(self) -> frozenset[int]:
-        """Indices of columns holding at least one free entry."""
-        return frozenset(j for _, j in self.nonzeros)
+        """Indices of columns holding at least one free entry, computed once
+        per pattern, so reports on the same pattern share one set."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", frozenset(j for _, j in self.nonzeros))
+        return self._columns
 
     def induced(self, states: Iterable[int]) -> "Pattern":
         """Square subpattern on the given row/column indices, reindexed to 1..k."""
@@ -72,6 +76,23 @@ class Pattern:
             self.cols,
             frozenset((i, j) for i, j in self.nonzeros if i not in rkill and j not in ckill),
         )
+
+
+_NO_ELEMENTS: frozenset = frozenset()
+
+
+def shares_empty_sets(cls: type) -> type:
+    """Class decorator, placed under ``@dataclass``: every empty frozenset
+    field of a new instance becomes one shared empty set. CPython builds each
+    empty frozenset anew, at 216 bytes, and a caller may keep many reports."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) == _NO_ELEMENTS:
+                object.__setattr__(self, f.name, _NO_ELEMENTS)
+
+    cls.__post_init__ = __post_init__
+    return cls
 
 
 def stack(top: Pattern, bottom: Pattern) -> Pattern:
@@ -127,7 +148,7 @@ def check_shapes(
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemPattern:
     """Bundle of the state, input, output and functional patterns of one system.
 
@@ -163,7 +184,7 @@ class SystemPattern:
         return self.F.rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digraph:
     """Directed graph over tagged state/input/output vertices."""
 
@@ -204,7 +225,7 @@ def state_digraph(A: Pattern) -> Digraph:
     return system_digraph(SystemPattern(A=A))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bigraph:
     """Bipartite graph with non-negative integer edge costs.
 
@@ -215,6 +236,7 @@ class Bigraph:
     left: int
     right: int
     edges: tuple[tuple[int, int, int], ...]  # (right, left, cost)
+    _cost: dict[Entry, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(self.edges))
@@ -231,13 +253,13 @@ class Bigraph:
         object.__setattr__(self, "_cost", {(r, l): c for r, l, c in canon})
 
     def cost(self, r: int, l: int) -> int:
-        return self._cost[(r, l)]  # type: ignore[attr-defined]
+        return self._cost[(r, l)]
 
     def weight(self, matching: "Matching") -> int:
         return sum(self.cost(r, l) for r, l in matching.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """Set of bipartite edges, no two sharing an endpoint on either side."""
 

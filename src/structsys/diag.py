@@ -16,7 +16,7 @@ from .core import Matching, Pattern, check_shapes, state_digraph
 from .grank import grank, loop_augmented_bigraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagReport:
     """Verdict plus the quantities and certificate behind it.
 

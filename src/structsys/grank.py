@@ -58,7 +58,7 @@ def cycle_cover_max(A: Pattern) -> int:
     return n - g.weight(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CactusReport:
     """Size and shape of a maximum output cactus configuration.
 
@@ -130,7 +130,7 @@ def input_cactus_size(A: Pattern, B: Pattern) -> int:
     return cactus_size(A.transpose(), B.transpose()).size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Linking:
     """The arcs a maximum vertex-disjoint linking of the two-layer graph uses.
 

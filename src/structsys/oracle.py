@@ -48,7 +48,7 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleConfig:
     seed: int = 0
     trials: int = 20
@@ -64,7 +64,7 @@ class OracleConfig:
             raise ValueError("float tolerance must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Realization:
     """Numeric values assigned to the free entries of a pattern.
 

@@ -25,6 +25,7 @@ from .core import (
     check_shapes,
     dedicated_rows,
     identity_pattern,
+    shares_empty_sets,
     stack,
     state_digraph,
 )
@@ -33,7 +34,8 @@ from .grank import cactus_size, grank, max_linking, output_reachable_states
 from .sfo import functional_states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+@shares_empty_sets
 class SensorPlacement:
     """An output pattern achieving SFO together with how it was built.
 
@@ -50,7 +52,8 @@ class SensorPlacement:
     optimal: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+@shares_empty_sets
 class ActuatorPlacement:
     """An input pattern achieving SOC together with the flow-derived sets."""
 

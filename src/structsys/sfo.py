@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import Pattern, PreconditionError, check_shapes, stack, unit_row
+from .core import Pattern, PreconditionError, check_shapes, shares_empty_sets, stack, unit_row
 from .diag import is_generically_diagonalizable
 from .grank import cactus_size, grank, output_reachable_states
 
 Condition = Literal["b", "c", "d"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+@shares_empty_sets
 class SfoReport:
     """Verdict with the quantities the chosen method compared.
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Pattern, PreconditionError, check_shapes, hstack
+from .core import Pattern, PreconditionError, check_shapes, hstack, shares_empty_sets
 from .grank import Linking, grank, input_cactus_size, max_linking, output_reachable_states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+@shares_empty_sets
 class SocReport:
     """Verdict with its rank certificates; ``certificate`` is the maximum
     linking of (A_r, B, C) whose size is ``linking``."""

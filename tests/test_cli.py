@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,21 @@ def test_exit_one_on_parse_and_usage_errors(capsys, tmp_path):
     assert run(capsys, "diag", str(tmp_path / "missing.json"))[0] == 1
     assert run(capsys, "diag", COUNTER, "--frobnicate")[0] == 1  # unknown flag
     assert run(capsys, "grank", COUNTER, "--which", "Z")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "error: MemoryError\n"),
+        (RecursionError("maximum recursion depth exceeded"), "error: maximum recursion depth exceeded\n"),
+    ],
+)
+def test_exit_one_when_the_analysis_runs_out_of_resources(capsys, monkeypatch, error, message):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("structsys.cli.is_generically_diagonalizable", exhausted)
+    assert run(capsys, "diag", COUNTER) == (1, "", message)
 
 
 def test_exit_two_on_precondition_violations(capsys):
@@ -331,7 +347,7 @@ def test_soc_report_dict_round_trip_keeps_the_certificate():
             doc = report_dict(rep)
             assert report_from_dict(json.loads(json.dumps(doc))) == rep
             kinds.add(doc["kind"])
-            empty_sets += frozenset() in vars(rep).values()
+            empty_sets += any(getattr(rep, f.name) == frozenset() for f in fields(rep))
             no_connections += doc.get("scc_connections") == []
     assert kinds == {"diag", "sfo", "soc", "sensor-placement", "actuator-placement"}
     assert empty_sets and no_connections

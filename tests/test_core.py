@@ -71,6 +71,12 @@ def test_pattern_validation():
     assert Pattern(2, 2).nonzeros == frozenset()  # all-zero pattern is legal
 
 
+def test_column_support_is_computed_once_and_not_compared():
+    a, b = Pattern(2, 3, {(1, 1), (2, 3)}), Pattern(2, 3, {(1, 1), (2, 3)})
+    assert a.column_support() is a.column_support() == frozenset({1, 3})
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_system_digraph_single_edge():
     sys_pat = SystemPattern(A=Pattern(2, 2, {(2, 1)}))
     g = system_digraph(sys_pat)

@@ -1,11 +1,14 @@
-"""The Dijkstra flow engine: dual certificates, agreement with the
-Bellman-Ford reference and with networkx, and the warm start."""
+"""The primal-dual flow engine: dual certificates, and agreement with the
+Bellman-Ford reference and with networkx, on random networks and on
+networks shaped like the cactus and linking networks."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from structsys import (
     Bigraph,
@@ -13,9 +16,11 @@ from structsys import (
     FlowNetwork,
     Matching,
     extremal_weight_max_matching,
+    identity_pattern,
     min_cost_max_flow,
 )
-from support import bellman_ford_min_cost_max_flow
+from structsys.grank import linking_network
+from support import bellman_ford_min_cost_max_flow, rand_pattern
 
 
 def rand_network(rnd: random.Random, nodes: int, arcs: int, costs: tuple[int, ...]) -> FlowNetwork:
@@ -88,42 +93,13 @@ def test_value_and_cost_match_networkx():
                 if u != v
             )
             net = FlowNetwork(nodes, arcs, 0, nodes - 1)
-            g = nx.DiGraph()
-            g.add_nodes_from(range(nodes))
-            for u, v, cap, cost in arcs:
-                g.add_edge(u, v, capacity=cap, weight=cost)
-            ref = nx.max_flow_min_cost(g, 0, nodes - 1)
-            ref_value = sum(ref[0].values()) - sum(ref[u].get(0, 0) for u in ref)
             flow = min_cost_max_flow(net)
-            assert flow.value == ref_value
-            assert flow.cost == nx.cost_of_flow(g, ref)
+            assert (flow.value, flow.cost) == networkx_value_and_cost(nx, net)
 
 
-def test_zero_start_equals_cold_start():
-    rnd = random.Random(34)
-    for _ in range(30):
-        net = rand_network(rnd, rnd.randint(2, 10), rnd.randint(1, 30), (0, 1, 2))
-        zero = Flow((0,) * len(net.arcs), 0, 0, (0,) * net.nodes)
-        cold = min_cost_max_flow(net)
-        warm = min_cost_max_flow(net, zero)
-        assert warm == cold and warm.potentials == cold.potentials
-
-
-def test_start_flow_is_checked():
-    net = FlowNetwork(3, ((0, 1, 1, 2), (1, 2, 1, 0)), 0, 2)
-    bad = (
-        Flow((0,), 0, 0, (0, 0, 0)),  # too few arc values
-        Flow((2, 2), 2, 4, (0, 0, 0)),  # over capacity
-        Flow((1, 0), 1, 2, (0, 2, 2)),  # not conserved at node 1
-        Flow((0, 0), 0, 0, (0, 3, 3)),  # arc 0 reduced cost -1 while unsaturated
-    )
-    for start in bad:
-        with pytest.raises(ValueError):
-            min_cost_max_flow(net, start)
-
-
-def cold_extremal(g: Bigraph, sense: str) -> Matching:
-    """The extremal matching from a cold-started flow on the same network."""
+def matching_network(g: Bigraph, sense: str) -> FlowNetwork:
+    """The unit-capacity network that extremal_weight_max_matching solves:
+    arcs source -> right, the edges in order, then left -> sink."""
     total = sum(c for _, _, c in g.edges)
     sink = g.right + g.left + 1
     arcs = [(0, r, 1, 0) for r in range(1, g.right + 1)]
@@ -131,14 +107,10 @@ def cold_extremal(g: Bigraph, sense: str) -> Matching:
         (r, g.right + l, 1, c if sense == "minimize" else total + 1 - c) for r, l, c in g.edges
     ]
     arcs += [(g.right + l, sink, 1, 0) for l in range(1, g.left + 1)]
-    flow = min_cost_max_flow(FlowNetwork(sink + 1, tuple(arcs), 0, sink))
-    base = g.right
-    return Matching(
-        frozenset((r, l) for k, (r, l, _) in enumerate(g.edges) if flow.arc_flow[base + k])
-    )
+    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
 
 
-def test_warm_start_matches_cold_start():
+def test_extremal_matching_matches_bellman_ford():
     rnd = random.Random(35)
     for trial in range(80):
         right, left = rnd.randint(1, 9), rnd.randint(1, 9)
@@ -151,7 +123,87 @@ def test_warm_start_matches_cold_start():
         )
         g = Bigraph(left, right, edges)
         for sense in ("minimize", "maximize"):
-            warm = extremal_weight_max_matching(g, sense)
-            cold = cold_extremal(g, sense)
-            assert warm.size == cold.size
-            assert g.weight(warm) == g.weight(cold)
+            ours = extremal_weight_max_matching(g, sense)
+            ref = bellman_ford_min_cost_max_flow(matching_network(g, sense))
+            used = Matching(
+                frozenset((r, l) for (r, l, _), f in zip(edges, ref.arc_flow[right:]) if f)
+            )
+            assert ours.size == used.size == ref.value
+            assert g.weight(ours) == g.weight(used)
+
+
+@st.composite
+def networks(draw) -> FlowNetwork:
+    """Small networks with parallel arcs, self-loops and arcs into the
+    source, capacities 0-3 and 1-3 distinct arc costs."""
+    nodes = draw(st.integers(2, 8))
+    costs = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+    end = st.integers(0, nodes - 1)
+    arc = st.tuples(end, end, st.integers(0, 3), st.sampled_from(costs))
+    return FlowNetwork(nodes, tuple(draw(st.lists(arc, max_size=30))), 0, nodes - 1)
+
+
+@given(networks())
+def test_flow_is_certified_and_matches_bellman_ford(net):
+    flow = min_cost_max_flow(net)
+    pot = flow.potentials
+    for f, (u, v, cap, cost) in zip(flow.arc_flow, net.arcs):
+        reduced = cost + pot[u] - pot[v]
+        assert 0 <= f <= cap
+        assert f == cap or reduced >= 0
+        assert f == 0 or reduced <= 0
+    assert not residual_reaches_sink(net, flow)
+    ref = bellman_ford_min_cost_max_flow(net)
+    assert (flow.value, flow.cost) == (ref.value, ref.cost)
+
+
+def networkx_value_and_cost(nx, net: FlowNetwork) -> tuple[int, int]:
+    """Value and cost of networkx's maximum flow of minimum cost; the
+    network must have no parallel arcs."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(net.nodes))
+    for u, v, cap, cost in net.arcs:
+        g.add_edge(u, v, capacity=cap, weight=cost)
+    ref = nx.max_flow_min_cost(g, net.source, net.sink)
+    value = sum(ref[net.source].values()) - sum(ref[u].get(net.source, 0) for u in ref)
+    return value, nx.cost_of_flow(g, ref)
+
+
+def cactus_shaped(rnd: random.Random, n: int, p: int) -> FlowNetwork:
+    """Unit-capacity source -> right -> left -> sink network on n + p
+    vertices a side, with edge costs from {0, 1, p + 1} like the cactus
+    network: sparse state edges, a loop on every vertex and a dense block
+    of zero-cost return edges from the p output vertices to the n states."""
+    k = n + p
+    sink = 2 * k + 1
+    arcs = [(0, r, 1, 0) for r in range(1, k + 1)]
+    for r in range(1, k + 1):
+        left = {r: 0}
+        if r <= n:
+            for l in rnd.sample(range(1, k + 1), 3):
+                left.setdefault(l, rnd.choice((0, 1, p + 1)))
+        else:
+            left.update((l, 0) for l in range(1, n + 1))
+        arcs += [(r, k + l, 1, cost) for l, cost in sorted(left.items())]
+    arcs += [(k + l, sink, 1, 0) for l in range(1, k + 1)]
+    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
+
+
+@pytest.mark.parametrize("n, p", [(20, 4), (150, 15), (950, 12)])
+def test_cactus_shaped_networks_match_networkx(n, p):
+    nx = pytest.importorskip("networkx")
+    net = cactus_shaped(random.Random(n), n, p)
+    flow = min_cost_max_flow(net)
+    assert (flow.value, flow.cost) == networkx_value_and_cost(nx, net)
+
+
+@pytest.mark.parametrize("n, p", [(20, 4), (120, 12), (300, 30)])
+def test_linking_shaped_networks_match_networkx(n, p):
+    # the actuator network: one candidate input per state at cost 1
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(n)
+    a = rand_pattern(rnd, n, n, 3 / n)
+    c = rand_pattern(rnd, p, n, 2 / n)
+    net = linking_network(a, identity_pattern(n), c, input_cost=1)
+    flow = min_cost_max_flow(net)
+    assert (flow.value, flow.cost) == networkx_value_and_cost(nx, net)

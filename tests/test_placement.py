@@ -51,6 +51,14 @@ ALG1_A = Pattern(6, 6, {(1, 2), (2, 1), (3, 4), (4, 3), (5, 5), (6, 5)})
 ALG1_F = Pattern(1, 6, {(1, 2), (1, 4), (1, 6)})
 
 
+def test_reports_share_one_empty_set():
+    # the general-case placements leave X_S and X_F_unmatched empty; every
+    # report points them at one shared set instead of a 216-byte copy each
+    reports = [min_sensors_iterative(GEN_A, GEN_F), min_sensors_matching(GEN_A, GEN_F)]
+    empties = {id(s) for rep in reports for s in (rep.X_S, rep.X_F_unmatched)}
+    assert len(empties) == 1 and not reports[0].X_S
+
+
 # ---------------------------------------------------------------------------
 # weighted-matching placement on diagonalizable patterns
 
