@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from .core import Bigraph, Digraph, Matching, Vertex
 
@@ -54,6 +54,59 @@ class Flow:
     potentials: tuple[int, ...] = field(default=(), compare=False)
 
 
+def _residual(net: FlowNetwork) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """Residual graph of the zero flow: residual edge 2k is arc k forward and
+    2k + 1 its reverse, with their heads, capacities, costs, and per node the
+    residual edges leaving it in arc order."""
+    head: list[int] = []
+    rcap: list[int] = []
+    rcost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(net.nodes)]
+    for k, (u, v, cap, cost) in enumerate(net.arcs):
+        head += (v, u)
+        rcap += (cap, 0)
+        rcost += (cost, -cost)
+        adj[u].append(2 * k)
+        adj[v].append(2 * k + 1)
+    return head, rcap, rcost, adj
+
+
+def _dijkstra(
+    head: list[int],
+    rcap: list[int],
+    rcost: list[int],
+    adj: list[list[int]],
+    pot: Sequence[int],
+    origin: int,
+    stop: int,
+) -> list[int]:
+    """Dijkstra search from ``origin`` on the residual edges with capacity
+    left, under reduced costs ``cost + pot[tail] - pot[head]``, which must be
+    non-negative. Returns the reduced distance of every node, ``_INF`` where
+    none is known; the search ends once node ``stop`` is settled (pass -1 to
+    settle every reachable node). The heap is keyed on ``(distance, node)``
+    and edges are scanned in index order."""
+    dist = [_INF] * len(adj)
+    dist[origin] = 0
+    heap = [(0, origin)]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == stop:
+            break
+        base = d + pot[u]
+        for e in adj[u]:
+            if rcap[e]:
+                v = head[e]
+                nd = base + rcost[e] - pot[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+    return dist
+
+
 def min_cost_max_flow(net: FlowNetwork) -> Flow:
     """Maximum flow of minimum cost, by the primal-dual method.
 
@@ -75,39 +128,11 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
     search back from the sink takes at every node the admissible arc of
     lowest index.
     """
-    arcs = net.arcs
     nodes, source, sink = net.nodes, net.source, net.sink
-    # residual edge 2k is arc k forward, 2k + 1 its reverse
-    head: list[int] = []
-    rcap: list[int] = []
-    rcost: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nodes)]
-    for k, (u, v, cap, cost) in enumerate(arcs):
-        head += (v, u)
-        rcap += (cap, 0)
-        rcost += (cost, -cost)
-        adj[u].append(2 * k)
-        adj[v].append(2 * k + 1)
+    head, rcap, rcost, adj = _residual(net)
     pot = [0] * nodes
-    heappush, heappop = heapq.heappush, heapq.heappop
     while True:
-        dist = [_INF] * nodes
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            if u == sink:
-                break
-            base = d + pot[u]
-            for e in adj[u]:
-                if rcap[e]:
-                    v = head[e]
-                    nd = base + rcost[e] - pot[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        heappush(heap, (nd, v))
+        dist = _dijkstra(head, rcap, rcost, adj, pot, source, sink)
         reach = dist[sink]
         if reach >= _INF:
             break
@@ -158,8 +183,30 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
     flow = rcap[1::2]
     # net outflow of the source: flow on its out-arcs less flow on its in-arcs
     value = sum(rcap[e + 1] if e % 2 == 0 else -rcap[e] for e in adj[source])
-    cost = sum(f * a[3] for f, a in zip(flow, arcs))
+    cost = sum(f * a[3] for f, a in zip(flow, net.arcs))
     return Flow(tuple(flow), value, cost, tuple(pot))
+
+
+def residual_distances(net: FlowNetwork, flow: Flow, origin: int) -> list[int | None]:
+    """Cost of a cheapest path from ``origin`` to every node in the residual
+    network of ``flow``, or None where no path exists.
+
+    ``flow`` must carry potentials under which every residual arc has a
+    non-negative reduced cost, as every flow of :func:`min_cost_max_flow`
+    does. The search is then one Dijkstra run, and a cheapest path closed by
+    an added arc is the cheapest cycle through that arc: adding the arc
+    lowers the optimum cost by exactly that cycle's cost when it is negative
+    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).
+    """
+    head, rcap, rcost, adj = _residual(net)
+    for k, f in enumerate(flow.arc_flow):
+        if f:
+            rcap[2 * k] -= f
+            rcap[2 * k + 1] += f
+    pot = flow.potentials
+    dist = _dijkstra(head, rcap, rcost, adj, pot, origin, -1)
+    shift = pot[origin]
+    return [d - shift + pot[v] if d < _INF else None for v, d in enumerate(dist)]
 
 
 def max_matching(g: Bigraph) -> Matching:
@@ -210,23 +257,23 @@ def max_matching(g: Bigraph) -> Matching:
             for r, l in zip(rights, lefts):  # flip the alternating path
                 match_l[l], match_r[r] = r, l
             break
-    return Matching(frozenset((r, l) for r, l in enumerate(match_r) if l))
+    return Matching.from_mates(match_r)
 
 
-def extremal_weight_max_matching(
-    g: Bigraph, sense: Literal["minimize", "maximize"]
-) -> Matching:
-    """Maximum-cardinality matching of minimum or maximum total cost.
+def matching_network(g: Bigraph, sense: Literal["minimize", "maximize"]) -> FlowNetwork:
+    """Unit-capacity network whose minimum-cost maximum flows are the
+    maximum matchings of g of minimum or maximum total cost.
 
-    Reduced to min-cost max-flow on the unit-capacity network; the max-flow
-    phase pins the cardinality, so cost only discriminates among maximum
-    matchings. For ``maximize`` each edge cost c is replaced by W + 1 - c
-    with W the sum of all costs, keeping arc costs non-negative.
+    Node 0 is the source, node r the right vertex r, node ``g.right + l``
+    the left vertex l, and the last node the sink. The arcs are the source
+    arcs in right order, one arc per edge in edge order, then the sink arcs
+    in left order. An edge of cost c costs c, or for ``maximize`` W + 1 - c
+    with W the sum of all costs, which keeps arc costs non-negative; the
+    max-flow phase pins the cardinality, so cost only discriminates among
+    maximum matchings.
     """
     if sense not in ("minimize", "maximize"):
         raise ValueError(f"unknown sense {sense!r}")
-    if not g.edges:
-        return Matching(frozenset())
     total = sum(c for _, _, c in g.edges)
     sink = g.right + g.left + 1
     arcs = [(0, r, 1, 0) for r in range(1, g.right + 1)]
@@ -234,8 +281,26 @@ def extremal_weight_max_matching(
         (r, g.right + l, 1, c if sense == "minimize" else total + 1 - c) for r, l, c in g.edges
     ]
     arcs += [(g.right + l, sink, 1, 0) for l in range(1, g.left + 1)]
-    used = min_cost_max_flow(FlowNetwork(sink + 1, tuple(arcs), 0, sink)).arc_flow[g.right :]
-    return Matching(frozenset((r, l) for (r, l, _), f in zip(g.edges, used) if f))
+    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
+
+
+def flow_matching(g: Bigraph, flow: Flow) -> Matching:
+    """The matching a flow of :func:`matching_network` carries: the edges
+    whose arcs hold flow."""
+    mates = [0] * (g.right + 1)
+    for (r, l, _), f in zip(g.edges, flow.arc_flow[g.right :]):
+        if f:
+            mates[r] = l
+    return Matching.from_mates(mates)
+
+
+def extremal_weight_max_matching(
+    g: Bigraph, sense: Literal["minimize", "maximize"]
+) -> Matching:
+    """Maximum-cardinality matching of minimum or maximum total cost, from a
+    minimum-cost maximum flow of :func:`matching_network`."""
+    net = matching_network(g, sense)
+    return flow_matching(g, min_cost_max_flow(net)) if g.edges else Matching(())
 
 
 def scc(g: Digraph) -> list[frozenset[Vertex]]:

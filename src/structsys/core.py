@@ -7,8 +7,9 @@ Indices are 1-based throughout, including the on-disk file format.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class PreconditionError(ValueError):
@@ -236,48 +237,78 @@ class Bigraph:
     left: int
     right: int
     edges: tuple[tuple[int, int, int], ...]  # (right, left, cost)
-    _cost: dict[Entry, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(self.edges))
         object.__setattr__(self, "edges", canon)
-        seen: set[Entry] = set()
+        last_r = last_l = 0
         for r, l, c in canon:
             if not (1 <= r <= self.right and 1 <= l <= self.left):
                 raise ValueError(f"edge ({r},{l}) outside parts of sizes {self.right}/{self.left}")
             if c < 0:
                 raise ValueError(f"edge ({r},{l}) has negative cost {c}")
-            if (r, l) in seen:
+            if r == last_r and l == last_l:  # sorted, so a duplicate follows its twin
                 raise ValueError(f"duplicate edge ({r},{l})")
-            seen.add((r, l))
-        object.__setattr__(self, "_cost", {(r, l): c for r, l, c in canon})
+            last_r, last_l = r, l
 
     def cost(self, r: int, l: int) -> int:
-        return self._cost[(r, l)]
+        """Cost of edge (r, l), by binary search on the sorted edges."""
+        edges = self.edges
+        k = bisect_left(edges, (r, l))
+        if k < len(edges) and edges[k][0] == r and edges[k][1] == l:
+            return edges[k][2]
+        raise KeyError((r, l))
 
     def weight(self, matching: "Matching") -> int:
-        return sum(self.cost(r, l) for r, l in matching.edges)
+        flat = matching.flat
+        return sum(self.cost(r, l) for r, l in zip(flat[::2], flat[1::2]))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Matching:
-    """Set of bipartite edges, no two sharing an endpoint on either side."""
+    """Set of bipartite edges, no two sharing an endpoint on either side.
 
-    edges: frozenset[Entry]  # (right, left) pairs
+    The edges are stored as one flat tuple ``r1, l1, r2, l2, ...`` of
+    (right, left) pairs in ascending right order, so equal matchings are
+    equal tuples and a matching holds no tuple per edge.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        rights = [r for r, _ in self.edges]
-        lefts = [l for _, l in self.edges]
-        if len(set(rights)) != len(rights) or len(set(lefts)) != len(lefts):
+    flat: tuple[int, ...]
+
+    def __init__(self, edges: Iterable[Entry]) -> None:
+        pairs = sorted(edges)
+        rights = [r for r, _ in pairs]
+        if len(set(rights)) != len(rights):
             raise ValueError("matching edges share an endpoint")
+        self._store(rights, [l for _, l in pairs])
+
+    @classmethod
+    def from_mates(cls, mates: Sequence[int]) -> "Matching":
+        """Matching that pairs each right vertex r with ``mates[r]``, where 0
+        marks an unmatched vertex (so ``mates[0]`` is 0); no sort is needed."""
+        rights = [r for r, l in enumerate(mates) if l]
+        matching = object.__new__(cls)
+        matching._store(rights, [mates[r] for r in rights])
+        return matching
+
+    def _store(self, rights: list[int], lefts: list[int]) -> None:
+        if len(set(lefts)) != len(lefts):
+            raise ValueError("matching edges share an endpoint")
+        flat = [0] * (2 * len(rights))
+        flat[::2], flat[1::2] = rights, lefts
+        object.__setattr__(self, "flat", tuple(flat))
+
+    @property
+    def edges(self) -> frozenset[Entry]:
+        """The (right, left) pairs."""
+        return frozenset(zip(self.flat[::2], self.flat[1::2]))
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.flat) // 2
 
     def right_matched(self) -> frozenset[int]:
-        return frozenset(r for r, _ in self.edges)
+        return frozenset(self.flat[::2])
 
 
 def pattern_bigraph(M: Pattern) -> Bigraph:

@@ -11,13 +11,18 @@ the largest vertex-disjoint linking through a two-layer product graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .combinat import (
+    Flow,
     FlowNetwork,
     extremal_weight_max_matching,
+    flow_matching,
+    matching_network,
     max_matching,
     min_cost_max_flow,
     reachable,
+    residual_distances,
 )
 from .core import (
     Bigraph,
@@ -26,6 +31,7 @@ from .core import (
     SystemPattern,
     check_shapes,
     pattern_bigraph,
+    stack,
     system_digraph,
 )
 
@@ -110,17 +116,74 @@ def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
     return Bigraph(n + p, n + p, tuple(edges)), q
 
 
+def _cactus_shape(weight: int, q: int) -> tuple[int, int]:
+    """(size, stems) of a configuration whose :func:`cactus_bigraph` matching
+    weighs W = (q+1)d - s with 0 <= s <= q: d = ceil(W / (q+1)), s = (q+1)d - W."""
+    d = -(-weight // (q + 1))
+    return d, (q + 1) * d - weight
+
+
 def cactus_size(A: Pattern, C: Pattern) -> CactusReport:
     """Maximum number of output-reachable states covered by disjoint stems
     and cycles, with the stem count of the selected configuration."""
     g, q = cactus_bigraph(A, C)
-    n = A.rows
     cert = extremal_weight_max_matching(g, "maximize")
-    stems = sum(1 for r, l in cert.edges if r <= n < l)
-    covered = stems + sum(
-        1 for r, l in cert.edges if r <= n and l <= n and g.cost(r, l) == q + 1
-    )
-    return CactusReport(covered, stems, cert)
+    return CactusReport(*_cactus_shape(g.weight(cert), q), cert)
+
+
+@dataclass(frozen=True, slots=True)
+class SpareRowCactus:
+    """A maximum cactus of (A, [C; 0]), solved once so that putting any unit
+    row e_i in place of the empty row y' is priced by one search.
+
+    The empty row is inert: the only edge into its left vertex is its own
+    loop, so ``size`` equals ``cactus_size(A, C).size``, while q is p + 1.
+    ``weight`` is the optimal matching weight, ``reachable`` the
+    output-reachable states of (A, C), and ``spare`` the node of y' in the
+    matching ``network`` that ``flow`` solves.
+    """
+
+    size: int
+    weight: int
+    q: int
+    reachable: frozenset[int]
+    network: FlowNetwork
+    flow: Flow
+    spare: int
+
+    def raising_states(self, states: Iterable[int]) -> frozenset[int]:
+        """The states i whose unit row e_i raises the cactus size of (A, C).
+
+        An output-unreachable state always does: it becomes a one-state stem.
+        For a reachable one, the cactus bigraphs of [C; 0] and [C; e_i] differ
+        by the edge x_i -> y' of cost q alone, so the optimum weight grows by
+        q less the cheapest residual path from y' to x_i when that is
+        positive. One residual search from y' prices every state at once.
+        """
+        wanted = frozenset(states)
+        reached = wanted & self.reachable
+        if not reached:
+            return wanted
+        # node i of the matching network is the right vertex x_i
+        dist = residual_distances(self.network, self.flow, self.spare)
+        return (wanted - reached) | {
+            i
+            for i in reached
+            if dist[i] is not None
+            and _cactus_shape(self.weight + self.q - dist[i], self.q)[0] > self.size
+        }
+
+
+def spare_row_cactus(A: Pattern, C: Pattern) -> SpareRowCactus:
+    """Solve the cactus of (A, [C; 0]) once and keep its optimal flow."""
+    n = check_shapes(A, C=C)
+    g, q = cactus_bigraph(A, stack(C, Pattern(1, n)))
+    net = matching_network(g, "maximize")
+    flow = min_cost_max_flow(net)
+    weight = g.weight(flow_matching(g, flow))
+    size = _cactus_shape(weight, q)[0]
+    # y' is the last right vertex, and matching_network numbers it g.right
+    return SpareRowCactus(size, weight, q, output_reachable_states(A, C), net, flow, g.right)
 
 
 def input_cactus_size(A: Pattern, B: Pattern) -> int:

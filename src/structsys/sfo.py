@@ -14,7 +14,7 @@ from typing import Iterable, Literal
 
 from .core import Pattern, PreconditionError, check_shapes, shares_empty_sets, stack, unit_row
 from .diag import is_generically_diagonalizable
-from .grank import cactus_size, grank, output_reachable_states
+from .grank import cactus_size, grank, output_reachable_states, spare_row_cactus
 
 Condition = Literal["b", "c", "d"]
 
@@ -62,23 +62,23 @@ def is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
 
     True exactly when the functional states are all output-reachable and
     appending the functional rows leaves the maximum cactus size unchanged.
-    An empty functional set is vacuously observable.
+    An empty functional set is vacuously observable. When the verdict is
+    false, ``failing_states`` holds the functional states whose own unit row
+    raises the cactus size; one residual search of the solved cactus of
+    [C; 0] finds them all (:class:`structsys.grank.SpareRowCactus`), so the
+    call costs two cactus solves however many functional states there are.
     """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
-    d_ac = cactus_size(A, C).size
     if not x_f:
+        d_ac = cactus_size(A, C).size
         return SfoReport(True, "general-cactus", x_f, frozenset(), d_ac, d_ac, frozenset())
-    w = output_reachable_states(A, C)
-    unreachable = x_f - w
+    base = spare_row_cactus(A, C)
+    unreachable = x_f - base.reachable
     d_acf = cactus_size(A, stack(C, F)).size
-    verdict = not unreachable and d_ac == d_acf
-    failing: frozenset[int] = frozenset()
-    if not verdict:
-        failing = frozenset(
-            i for i in x_f if cactus_size(A, stack(C, unit_row(A.cols, i))).size > d_ac
-        )
-    return SfoReport(verdict, "general-cactus", x_f, unreachable, d_ac, d_acf, failing)
+    verdict = not unreachable and base.size == d_acf
+    failing = frozenset() if verdict else base.raising_states(x_f)
+    return SfoReport(verdict, "general-cactus", x_f, unreachable, base.size, d_acf, failing)
 
 
 def in_minimal_dilation(A: Pattern, C: Pattern, i: int) -> bool:

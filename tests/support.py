@@ -6,7 +6,19 @@ import json
 import random
 from pathlib import Path
 
-from structsys import Flow, FlowNetwork, Pattern, identity_pattern, is_generically_diagonalizable
+from structsys import (
+    Flow,
+    FlowNetwork,
+    Pattern,
+    SfoReport,
+    cactus_size,
+    functional_states,
+    identity_pattern,
+    is_generically_diagonalizable,
+    stack,
+    unit_row,
+)
+from structsys.grank import output_reachable_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -164,3 +176,25 @@ def chain_pattern(n: int) -> Pattern:
     matching search that meets one augmenting path through all n columns."""
     nz = {(r, r) for r in range(1, n + 1)} | {(r + 1, r) for r in range(1, n)} | {(1, n)}
     return Pattern(n, n, frozenset(nz))
+
+
+# ---------------------------------------------------------------------------
+# reference SFO decision: the earlier is_sfo, which re-solves a whole cactus
+# per functional state when the verdict is false
+
+
+def reference_is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
+    x_f = functional_states(F)
+    d_ac = cactus_size(A, C).size
+    if not x_f:
+        return SfoReport(True, "general-cactus", x_f, frozenset(), d_ac, d_ac, frozenset())
+    w = output_reachable_states(A, C)
+    unreachable = x_f - w
+    d_acf = cactus_size(A, stack(C, F)).size
+    verdict = not unreachable and d_ac == d_acf
+    failing: frozenset[int] = frozenset()
+    if not verdict:
+        failing = frozenset(
+            i for i in x_f if cactus_size(A, stack(C, unit_row(A.cols, i))).size > d_ac
+        )
+    return SfoReport(verdict, "general-cactus", x_f, unreachable, d_ac, d_acf, failing)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +16,7 @@ from structsys import (
     SystemPattern,
     bigraph_pattern,
     hstack,
+    is_generically_diagonalizable,
     pattern_bigraph,
     stack,
     system_digraph,
@@ -170,3 +174,46 @@ def test_induced_and_zeroed():
     assert a.induced([1, 2]) == Pattern(2, 2, {(1, 2), (2, 1)})
     assert a.induced([3]) == Pattern(1, 1, {(1, 1)})
     assert a.zeroed(rows=[3], cols=[3]) == Pattern(3, 3, {(1, 2), (2, 1)})
+
+
+def test_matching_is_a_value_over_flat_pairs():
+    m = Matching(frozenset({(3, 1), (1, 2)}))
+    assert m.flat == (1, 2, 3, 1)
+    assert m.edges == {(1, 2), (3, 1)} and m.size == 2 and m.right_matched() == {1, 3}
+    same = Matching.from_mates([0, 2, 0, 1])
+    assert same == m and hash(same) == hash(m) and same == Matching([(3, 1), (1, 2)])
+    assert m != Matching({(1, 2)}) and len({m, same}) == 1
+    assert Matching(()).size == 0 == Matching.from_mates([0, 0]).size
+    with pytest.raises(ValueError):
+        Matching.from_mates([0, 1, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.flat = ()
+
+
+def test_bigraph_cost_finds_every_edge_and_only_those():
+    g = Bigraph(3, 3, ((2, 3, 7), (1, 1, 0), (2, 1, 4), (3, 3, 1)))
+    assert [g.cost(r, l) for r, l, _ in g.edges] == [c for _, _, c in g.edges] == [0, 4, 7, 1]
+    assert g.weight(Matching({(1, 1), (2, 3)})) == 7
+    for missing in ((1, 2), (2, 2), (3, 1), (4, 1), (0, 0)):
+        with pytest.raises(KeyError):
+            g.cost(*missing)
+
+
+def test_held_diag_reports_stay_small():
+    # a report's matching is one flat tuple of small ints, not one tuple per
+    # edge in a frozenset: 100 held reports on n = 64 keep under 2 KiB each
+    rnd = random.Random(3)
+    patterns = [
+        Pattern(64, 64, frozenset((rnd.randint(1, 64), rnd.randint(1, 64)) for _ in range(192)))
+        for _ in range(100)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [is_generically_diagonalizable(a) for a in patterns]
+        gc.collect()
+        per_report = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+    finally:
+        tracemalloc.stop()
+    assert per_report < 2048, per_report

@@ -19,6 +19,7 @@ from structsys import (
     identity_pattern,
     min_cost_max_flow,
 )
+from structsys.combinat import residual_distances
 from structsys.grank import linking_network
 from support import bellman_ford_min_cost_max_flow, rand_pattern
 
@@ -155,6 +156,38 @@ def test_flow_is_certified_and_matches_bellman_ford(net):
     assert not residual_reaches_sink(net, flow)
     ref = bellman_ford_min_cost_max_flow(net)
     assert (flow.value, flow.cost) == (ref.value, ref.cost)
+
+
+def bellman_ford_residual_distances(net: FlowNetwork, flow: Flow, origin: int) -> list[int | None]:
+    """Cheapest residual path costs from ``origin`` by Bellman-Ford; the
+    residual network of a minimum-cost flow has no negative cycle."""
+    residual = []
+    for f, (u, v, cap, cost) in zip(flow.arc_flow, net.arcs):
+        if f < cap:
+            residual.append((u, v, cost))
+        if f > 0:
+            residual.append((v, u, -cost))
+    dist: list[int | None] = [None] * net.nodes
+    dist[origin] = 0
+    for _ in range(net.nodes):
+        for u, v, cost in residual:
+            if dist[u] is not None and (dist[v] is None or dist[u] + cost < dist[v]):
+                dist[v] = dist[u] + cost
+    return dist
+
+
+@given(networks(), st.data())
+def test_residual_distances_match_bellman_ford(net, data):
+    flow = min_cost_max_flow(net)
+    pot = flow.potentials
+    for f, (u, v, cap, cost) in zip(flow.arc_flow, net.arcs):
+        if f < cap:
+            assert cost + pot[u] - pot[v] >= 0
+        if f > 0:
+            assert -cost + pot[v] - pot[u] >= 0
+    origin = data.draw(st.integers(0, net.nodes - 1))
+    ours = residual_distances(net, flow, origin)
+    assert ours == bellman_ford_residual_distances(net, flow, origin)
 
 
 def networkx_value_and_cost(nx, net: FlowNetwork) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from structsys import (
     numeric_grank,
     numeric_obs_rank,
     stack,
+    unit_row,
 )
 from structsys.oracle import field_rank, sample_field_realization
 from support import COUNTER_A, COUNTER_C, COUNTER_F, chain_pattern, eye, rand_pattern, rand_square
@@ -197,3 +198,46 @@ def test_numeric_grank_counterexample():
 def test_grank_long_augmenting_chain():
     # an augmenting path through 2000 columns once overflowed the recursion
     assert grank(chain_pattern(2000)) == 2000
+
+
+def test_cactus_shape_is_decoded_from_the_certificate_edges():
+    # the weight decode gives what counting stem and covering edges gives
+    from structsys.grank import cactus_bigraph
+
+    rnd = random.Random(13)
+    for _ in range(300):
+        n = rnd.randint(1, 8)
+        a = rand_square(rnd, n, rnd.uniform(0.05, 0.5))
+        c = rand_pattern(rnd, rnd.randint(0, 4), n, rnd.uniform(0.05, 0.6))
+        rep = cactus_size(a, c)
+        g, q = cactus_bigraph(a, c)
+        stems = sum(1 for r, l in rep.certificate.edges if r <= n < l)
+        covering = sum(
+            1 for r, l in rep.certificate.edges if r <= n and l <= n and g.cost(r, l) == q + 1
+        )
+        assert (rep.size, rep.stems) == (stems + covering, stems)
+
+
+def test_spare_row_cactus_prices_every_unit_row():
+    # the empty row leaves the size alone, and one residual search finds the
+    # states whose unit row raises it, reachable or not, as one cactus solve
+    # per state does
+    from structsys.grank import spare_row_cactus
+
+    rnd = random.Random(14)
+    raised_some = 0
+    for trial in range(400):
+        n = rnd.randint(1, 9)
+        a = rand_square(rnd, n, rnd.uniform(0.05, 0.5))
+        p = rnd.randint(0, 3) if trial % 2 else rnd.randint((n + 1) // 2, n)
+        c = rand_pattern(rnd, p, n, rnd.uniform(0.05, 0.5))
+        d = cactus_size(a, c).size
+        base = spare_row_cactus(a, c)
+        assert (base.size, base.q) == (d, p + 1)
+        expected = frozenset(
+            i for i in range(1, n + 1) if cactus_size(a, stack(c, unit_row(n, i))).size > d
+        )
+        assert base.raising_states(range(1, n + 1)) == expected
+        assert base.raising_states(()) == frozenset()
+        raised_some += bool(expected & base.reachable)
+    assert raised_some >= 20

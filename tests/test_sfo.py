@@ -27,9 +27,11 @@ from support import (
     COUNTER_C,
     COUNTER_F,
     eye,
+    fixture_path,
     rand_gen_diag,
     rand_pattern,
     rand_square,
+    reference_is_sfo,
 )
 
 
@@ -268,3 +270,90 @@ def test_diag_failing_states_are_the_minimal_dilation_members():
         assert reps["b"].failing_states == (frozenset() if reps["b"].verdict else members)
         seen += bool(members)
     assert seen > 10
+
+
+FIXTURE_NAMES = (
+    "example_actuator",
+    "example_alg1",
+    "example_counter",
+    "example_sensor_general",
+    "example_soc",
+    "zero",
+)
+
+
+def test_is_sfo_equals_the_per_state_reference_on_fixtures():
+    from structsys.cli import load_system
+
+    for name in FIXTURE_NAMES:
+        sys_pat = load_system(fixture_path(name))
+        assert is_sfo(sys_pat.A, sys_pat.C, sys_pat.F) == reference_is_sfo(
+            sys_pat.A, sys_pat.C, sys_pat.F
+        ), name
+
+
+def rand_sfo_instance(rnd: random.Random, kind: int) -> tuple[Pattern, Pattern, Pattern]:
+    """Random (A, C, F) of one of five kinds: plain, no outputs (p = 0), dense
+    outputs (p >= n/2), every self-loop present, and isolated states."""
+    n = rnd.randint(1, 10)
+    A = rand_square(rnd, n, rnd.uniform(0.05, 0.45))
+    p = rnd.randint(1, 3)
+    if kind == 1:
+        p = 0
+    elif kind == 2:
+        p = rnd.randint((n + 1) // 2, n)
+    elif kind == 3:
+        A = Pattern(n, n, A.nonzeros | {(i, i) for i in range(1, n + 1)})
+    elif kind == 4:
+        lonely = rnd.sample(range(1, n + 1), rnd.randint(1, n))
+        A = A.zeroed(rows=lonely, cols=lonely)
+    C = rand_pattern(rnd, p, n, rnd.uniform(0.05, 0.5))
+    F = rand_pattern(rnd, rnd.randint(1, 3), n, rnd.uniform(0.1, 0.5))
+    return A, C, F
+
+
+def test_is_sfo_equals_the_per_state_reference_on_random_instances():
+    # one residual search must report what one cactus solve per state did
+    rnd = random.Random(71)
+    seen = {"not sfo": 0, "p = 0": 0, "unreachable": 0, "dense C": 0, "self-loops": 0, "isolated": 0}
+    for trial in range(2000):
+        kind = trial % 5
+        A, C, F = rand_sfo_instance(rnd, kind)
+        ours = is_sfo(A, C, F)
+        assert ours == reference_is_sfo(A, C, F), (A, C, F)
+        n = A.rows
+        seen["not sfo"] += not ours.verdict
+        seen["p = 0"] += C.rows == 0
+        seen["unreachable"] += bool(ours.unreachable_functional_states)
+        seen["dense C"] += 2 * C.rows >= n
+        seen["self-loops"] += all((i, i) in A.nonzeros for i in range(1, n + 1))
+        seen["isolated"] += any(
+            all((i, j) not in A.nonzeros and (j, i) not in A.nonzeros for j in range(1, n + 1))
+            for i in range(1, n + 1)
+        )
+    assert min(seen.values()) >= 200, seen
+
+
+def test_is_sfo_makes_two_flow_solves(monkeypatch):
+    # one for the cactus of [C; 0], one for [C; F]; the per-state diagnosis
+    # is a residual search, however many functional states there are
+    import sys
+
+    real = sys.modules["structsys.combinat"].min_cost_max_flow
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("structsys") and getattr(module, "min_cost_max_flow", None) is real:
+            monkeypatch.setattr(module, "min_cost_max_flow", counting)
+    n = 6
+    everything = Pattern(1, n, frozenset((1, j) for j in range(1, n + 1)))
+    rep = is_sfo(Pattern(n, n), Pattern(1, n, {(1, 1)}), everything)
+    assert not rep.verdict and rep.failing_states == frozenset(range(2, n + 1))
+    assert len(solves) == 2
+    solves.clear()
+    assert not is_sfo(COUNTER_A, COUNTER_C, COUNTER_F).verdict
+    assert len(solves) == 2
