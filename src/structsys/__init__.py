@@ -18,7 +18,6 @@ from .combinat import (
 )
 from .core import (
     Bigraph,
-    Digraph,
     Matching,
     Pattern,
     PreconditionError,
@@ -29,8 +28,6 @@ from .core import (
     identity_pattern,
     pattern_bigraph,
     stack,
-    state_digraph,
-    system_digraph,
     unit_row,
 )
 from .diag import DiagReport, certificate_components, is_generically_diagonalizable, scc_induced_diagonalizable
@@ -83,7 +80,6 @@ __all__ = [
     "Bigraph",
     "CactusReport",
     "DiagReport",
-    "Digraph",
     "Flow",
     "FlowNetwork",
     "Linking",
@@ -137,7 +133,5 @@ __all__ = [
     "sfo_feasible",
     "sfo_preserved_under_functional_edge_addition",
     "stack",
-    "state_digraph",
-    "system_digraph",
     "unit_row",
 ]

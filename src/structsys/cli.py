@@ -30,7 +30,6 @@ from .core import (
     identity_pattern,
     pattern_bigraph,
     stack,
-    system_digraph,
 )
 from .diag import DiagReport, is_generically_diagonalizable
 from .grank import Linking, grank, max_linking
@@ -379,11 +378,7 @@ def dot_system(sys_pat: SystemPattern) -> str:
     (the diagonalizability certificate) is drawn bold red."""
     functional = sys_pat.F.column_support()
     diag = is_generically_diagonalizable(sys_pat.A)
-    cert_edges = {
-        (("x", r), ("x", l))
-        for r, l in diag.certificate.edges
-        if (l, r) in sys_pat.A.nonzeros
-    }
+    cert_edges = {(r, l) for r, l in diag.certificate.edges if (l, r) in sys_pat.A.nonzeros}
     lines = ["digraph system {", "  rankdir=LR;"]
     for i in range(1, sys_pat.n + 1):
         style = ' style=filled fillcolor=gray80' if i in functional else ""
@@ -392,10 +387,15 @@ def dot_system(sys_pat: SystemPattern) -> str:
         lines.append(f'  "u{i}" [shape=box style=filled fillcolor=lightblue];')
     for i in range(1, sys_pat.p + 1):
         lines.append(f'  "y{i}" [shape=box style=filled fillcolor=lightpink];')
-    g = system_digraph(sys_pat)
-    for (tk, ti), (hk, hi) in sorted(g.edges):
-        attr = " [color=red penwidth=2]" if ((tk, ti), (hk, hi)) in cert_edges else ""
-        lines.append(f'  "{tk}{ti}" -> "{hk}{hi}"{attr};')
+    # M[j, i] != 0 is the edge tail_i -> head_j; input edges come first, then
+    # each state's edges to states and to outputs, in ascending index order
+    for i, j in sorted((i, j) for j, i in sys_pat.B.nonzeros):
+        lines.append(f'  "u{i}" -> "x{j}";')
+    state_edges = [(i, "x", j) for j, i in sys_pat.A.nonzeros]
+    state_edges += [(i, "y", j) for j, i in sys_pat.C.nonzeros]
+    for i, head, j in sorted(state_edges):
+        attr = " [color=red penwidth=2]" if head == "x" and (i, j) in cert_edges else ""
+        lines.append(f'  "x{i}" -> "{head}{j}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -430,7 +430,7 @@ def dot_linking(sys_pat: SystemPattern) -> str:
     """Two-layer linking graph with a maximum linking drawn bold red."""
     b = sys_pat.B
     c = _require(sys_pat, "C")
-    a_r = input_reachable_restriction(sys_pat.A, b)
+    _, a_r = input_reachable_restriction(sys_pat.A, b)
     linking = max_linking(a_r, b, c)
     return _dot_two_layer("linking", f"maximum linking size {linking.size}", b, a_r, c, linking, False)
 

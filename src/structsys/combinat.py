@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .core import Bigraph, Digraph, Matching, Vertex
+from .core import Bigraph, Matching, Pattern, check_shapes
 
 _INF = 1 << 60
 
@@ -303,43 +303,58 @@ def extremal_weight_max_matching(
     return flow_matching(g, min_cost_max_flow(net)) if g.edges else Matching(())
 
 
-def scc(g: Digraph) -> list[frozenset[Vertex]]:
-    """Strongly connected components, in reverse topological order of the
-    condensation (every edge points from a later component to an earlier one).
-    """
-    order = {v: i for i, v in enumerate(g.vertices)}
-    adj: dict[Vertex, list[Vertex]] = {v: [] for v in g.vertices}
-    for tail, head in sorted(g.edges, key=lambda e: (order[e[0]], order[e[1]])):
-        adj[tail].append(head)
+def _successors(A: Pattern, reverse: bool = False) -> list[list[int]]:
+    """Adjacency lists of the state graph of a square pattern, indexed by
+    1-based state: ``A[i, j] != 0`` is the edge x_j -> x_i. Each list is in
+    ascending order; ``reverse`` lists predecessors instead."""
+    adj: list[list[int]] = [[] for _ in range(check_shapes(A) + 1)]
+    for i, j in A.sorted_nonzeros():
+        if reverse:
+            adj[i].append(j)
+        else:
+            adj[j].append(i)
+    return adj
 
-    index: dict[Vertex, int] = {}
-    lowlink: dict[Vertex, int] = {}
-    on_stack: set[Vertex] = set()
-    stack: list[Vertex] = []
-    components: list[frozenset[Vertex]] = []
+
+def scc(A: Pattern) -> list[frozenset[int]]:
+    """Strongly connected components of the state graph of a square pattern
+    (Tarjan 1972, on an explicit stack), in reverse topological order of the
+    condensation: every edge points from a later component to an earlier one.
+
+    Roots are taken in ascending state order and successors in ascending
+    order, so the component list is the same on every run.
+    """
+    adj = _successors(A)
+    n = len(adj) - 1
+    index = [0] * (n + 1)  # 0 marks an unvisited state
+    lowlink = [0] * (n + 1)
+    on_stack = [False] * (n + 1)
+    stack: list[int] = []
+    components: list[frozenset[int]] = []
     counter = 0
 
-    for root in g.vertices:
-        if root in index:
+    for root in range(1, n + 1):
+        if index[root]:
             continue
-        work: list[tuple[Vertex, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             v, ptr = work[-1]
             if ptr == 0:
-                index[v] = lowlink[v] = counter
                 counter += 1
+                index[v] = lowlink[v] = counter
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = True
             advanced = False
-            while ptr < len(adj[v]):
-                w = adj[v][ptr]
+            succ = adj[v]
+            while ptr < len(succ):
+                w = succ[ptr]
                 ptr += 1
-                if w not in index:
+                if not index[w]:
                     work[-1] = (v, ptr)
                     work.append((w, 0))
                     advanced = True
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index[w])
             if advanced:
                 continue
@@ -348,7 +363,7 @@ def scc(g: Digraph) -> list[frozenset[Vertex]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == v:
                         break
@@ -360,26 +375,22 @@ def scc(g: Digraph) -> list[frozenset[Vertex]]:
 
 
 def reachable(
-    g: Digraph, seeds: Iterable[Vertex], direction: Literal["forward", "backward"]
-) -> frozenset[Vertex]:
-    """Vertices connected to the seeds by a directed path, seeds included."""
+    A: Pattern, seeds: Iterable[int], direction: Literal["forward", "backward"]
+) -> frozenset[int]:
+    """States joined to the seed states by a directed path of the state graph
+    of a square pattern, seeds included: their descendants (``forward``) or
+    their ancestors (``backward``)."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    vset = set(g.vertices)
-    frontier = list(seeds)
+    n = check_shapes(A)
+    frontier = sorted(set(seeds))
     for s in frontier:
-        if s not in vset:
-            raise ValueError(f"seed {s} is not a vertex of the graph")
-    adj: dict[Vertex, list[Vertex]] = {v: [] for v in g.vertices}
-    for tail, head in g.edges:
-        if direction == "forward":
-            adj[tail].append(head)
-        else:
-            adj[head].append(tail)
+        if not 1 <= s <= n:
+            raise ValueError(f"state index {s} out of range 1..{n}")
+    adj = _successors(A, reverse=direction == "backward")
     seen = set(frontier)
     while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
+        for w in adj[frontier.pop()]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)

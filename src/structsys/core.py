@@ -1,4 +1,4 @@
-"""Sparsity patterns of structured linear systems and their graph views.
+"""Sparsity patterns of structured linear systems and their bipartite views.
 
 A pattern records which entries of a matrix are free parameters; every
 analysis in this package works from that zero/nonzero information alone.
@@ -17,7 +17,6 @@ class PreconditionError(ValueError):
 
 
 Entry = tuple[int, int]
-Vertex = tuple[str, int]  # ("x" | "u" | "y", 1-based index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +62,9 @@ class Pattern:
         if not self.is_square:
             raise ValueError("induced subpattern requires a square pattern")
         keep = sorted(set(states))
+        for s in keep:
+            if not 1 <= s <= self.rows:
+                raise ValueError(f"state index {s} out of range 1..{self.rows}")
         pos = {s: k + 1 for k, s in enumerate(keep)}
         sub = frozenset(
             (pos[i], pos[j]) for i, j in self.nonzeros if i in pos and j in pos
@@ -183,47 +185,6 @@ class SystemPattern:
     @property
     def r(self) -> int:
         return self.F.rows
-
-
-@dataclass(frozen=True, slots=True)
-class Digraph:
-    """Directed graph over tagged state/input/output vertices."""
-
-    vertices: tuple[Vertex, ...]
-    edges: frozenset[tuple[Vertex, Vertex]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        vset = set(self.vertices)
-        for tail, head in self.edges:
-            if tail not in vset or head not in vset:
-                raise ValueError(f"edge {tail}->{head} references a missing vertex")
-            if head[0] == "u":
-                raise ValueError(f"input vertex {head} cannot have incoming edges")
-            if tail[0] == "y":
-                raise ValueError(f"output vertex {tail} cannot have outgoing edges")
-
-
-def system_digraph(sys: SystemPattern) -> Digraph:
-    """Directed graph of a system: state, input and output vertices with the
-    edges induced by the nonzero entries of A, B and C."""
-    n, m, p = sys.n, sys.m, sys.p
-    vertices: list[Vertex] = [("x", i) for i in range(1, n + 1)]
-    vertices += [("u", i) for i in range(1, m + 1)]
-    vertices += [("y", i) for i in range(1, p + 1)]
-    edges: set[tuple[Vertex, Vertex]] = set()
-    for j, i in sys.A.nonzeros:  # A[j,i] != 0  <=>  x_i -> x_j
-        edges.add((("x", i), ("x", j)))
-    for j, i in sys.B.nonzeros:  # B[j,i] != 0  <=>  u_i -> x_j
-        edges.add((("u", i), ("x", j)))
-    for j, i in sys.C.nonzeros:  # C[j,i] != 0  <=>  x_i -> y_j
-        edges.add((("x", i), ("y", j)))
-    return Digraph(tuple(vertices), frozenset(edges))
-
-
-def state_digraph(A: Pattern) -> Digraph:
-    """Directed graph on the state vertices alone."""
-    return system_digraph(SystemPattern(A=A))
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .combinat import extremal_weight_max_matching, scc
-from .core import Matching, Pattern, check_shapes, state_digraph
+from .core import Matching, Pattern, check_shapes
 from .grank import grank, loop_augmented_bigraph
 
 
@@ -104,18 +104,17 @@ def scc_induced_diagonalizable(A: Pattern, scc_subset: Iterable[int]) -> bool:
     components of the state graph.
 
     ``scc_subset`` holds 0-based indices into the component list returned by
-    :func:`structsys.combinat.scc` on the state graph. The empty union is
+    :func:`structsys.combinat.scc` on ``A``. The empty union is
     diagonalizable.
     """
-    check_shapes(A)
-    comps = scc(state_digraph(A))
+    comps = scc(A)
     chosen = sorted(set(scc_subset))
     for k in chosen:
         if not 0 <= k < len(comps):
             raise ValueError(f"component index {k} out of range 0..{len(comps) - 1}")
     states: set[int] = set()
     for k in chosen:
-        states.update(i for _, i in comps[k])
+        states |= comps[k]
     if not states:
         return True
     return is_generically_diagonalizable(A.induced(states)).verdict

@@ -28,11 +28,9 @@ from .core import (
     Bigraph,
     Matching,
     Pattern,
-    SystemPattern,
     check_shapes,
     pattern_bigraph,
     stack,
-    system_digraph,
 )
 
 
@@ -79,11 +77,10 @@ class CactusReport:
 
 
 def output_reachable_states(A: Pattern, C: Pattern) -> frozenset[int]:
-    """States with a directed path to some output."""
-    g = system_digraph(SystemPattern(A=A, C=C))
-    seeds = [("y", j) for j in range(1, C.rows + 1)]
-    hit = reachable(g, seeds, "backward") if seeds else frozenset()
-    return frozenset(i for kind, i in hit if kind == "x")
+    """States with a directed path to some output: the ancestors of the
+    states that some output reads."""
+    check_shapes(A, C=C)
+    return reachable(A, C.column_support(), "backward")
 
 
 def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import extremal_weight_max_matching, scc
+from .combinat import extremal_weight_max_matching, reachable, scc
 from .core import (
     Bigraph,
     Pattern,
@@ -27,10 +27,9 @@ from .core import (
     identity_pattern,
     shares_empty_sets,
     stack,
-    state_digraph,
 )
 from .diag import is_generically_diagonalizable
-from .grank import cactus_size, grank, max_linking, output_reachable_states
+from .grank import cactus_size, grank, max_linking
 from .sfo import functional_states
 
 
@@ -107,7 +106,7 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
         entries.add((row, state))
         shared[state] = row
     if minimize_links and x_s:
-        entries = _drop_redundant_links(A, n, rows, entries, shared, x_s)
+        entries = _drop_redundant_links(A, entries, shared, x_s)
     c_out = Pattern(rows, n, frozenset(entries))
     return SensorPlacement(
         C_out=c_out,
@@ -120,18 +119,12 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
 
 
 def _drop_redundant_links(
-    A: Pattern,
-    n: int,
-    rows: int,
-    entries: set[tuple[int, int]],
-    shared: dict[int, int],
-    x_s: frozenset[int],
+    A: Pattern, entries: set[tuple[int, int]], shared: dict[int, int], x_s: frozenset[int]
 ) -> set[tuple[int, int]]:
     kept = set(entries)
     for state in sorted(x_s):
         candidate = kept - {(shared[state], state)}
-        c_try = Pattern(rows, n, frozenset(candidate))
-        if x_s <= output_reachable_states(A, c_try):
+        if x_s <= reachable(A, {j for _, j in candidate}, "backward"):
             kept = candidate
     return kept
 
@@ -187,8 +180,7 @@ def min_sensors_matching(A: Pattern, F: Pattern) -> SensorPlacement:
     x_h = sorted(r for r, l in report.certificate.edges if r <= n < l)
     rows = max(1, len(x_h))
     entries = {(k + 1, state) for k, state in enumerate(x_h)}
-    # a state reaches some x_h state iff it reaches that state's dedicated output
-    anchored = output_reachable_states(A, dedicated_rows(n, x_h))
+    anchored = reachable(A, x_h, "backward")  # states with a path to some x_h state
     entries |= {(1, state) for state in x_f - anchored}
     c_out = Pattern(rows, n, frozenset(entries))
     return SensorPlacement(
@@ -226,11 +218,9 @@ def min_actuators_diag(A: Pattern, C: Pattern) -> ActuatorPlacement:
     m_star = max(1, len(x_f1))
     entries = {(state, k + 1) for k, state in enumerate(sorted(x_f1))}
     connections: list[tuple[int, int, int]] = []
-    comps = scc(state_digraph(A))
-    for comp_id, comp in enumerate(comps):
-        states = {i for _, i in comp}
-        if states & x_f2:
-            chosen = min(states)
+    for comp_id, comp in enumerate(scc(A)):
+        if comp & x_f2:
+            chosen = min(comp)
             entries.add((chosen, 1))
             connections.append((comp_id, chosen, 1))
     return ActuatorPlacement(

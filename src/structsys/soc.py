@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .combinat import reachable
 from .core import Pattern, PreconditionError, check_shapes, hstack, shares_empty_sets
-from .grank import Linking, grank, input_cactus_size, max_linking, output_reachable_states
+from .grank import Linking, grank, input_cactus_size, max_linking
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,16 +34,18 @@ class SocReport:
 
 
 def input_reachable_states(A: Pattern, B: Pattern) -> frozenset[int]:
-    """States with a directed path from some input: by transposition
-    duality, the states of (A^T, B^T) with a path to some output."""
-    return output_reachable_states(A.transpose(), B.transpose())
+    """States with a directed path from some input: the descendants of the
+    states that some input drives."""
+    check_shapes(A, B)
+    return reachable(A, {i for i, _ in B.nonzeros}, "forward")
 
 
-def input_reachable_restriction(A: Pattern, B: Pattern) -> Pattern:
-    """Copy of A with the rows and columns of input-unreachable states zeroed."""
+def input_reachable_restriction(A: Pattern, B: Pattern) -> tuple[frozenset[int], Pattern]:
+    """The input-unreachable states, and A_r: a copy of A with their rows and
+    columns zeroed."""
     n = check_shapes(A, B)
-    dead = set(range(1, n + 1)) - input_reachable_states(A, B)
-    return A.zeroed(rows=dead, cols=dead)
+    dead = frozenset(range(1, n + 1)) - input_reachable_states(A, B)
+    return dead, A.zeroed(rows=dead, cols=dead)
 
 
 def is_soc(A: Pattern, B: Pattern, C: Pattern) -> SocReport:
@@ -53,11 +56,11 @@ def is_soc(A: Pattern, B: Pattern, C: Pattern) -> SocReport:
     "undecidable" and both rank certificates are reported so a caller can
     fall back to a randomized numeric check.
     """
-    n, p = check_shapes(A, B, C), C.rows
+    check_shapes(A, B, C)
+    p = C.rows
     if p == 0:
         raise PreconditionError("output pattern has no rows; nothing to control")
-    dead = frozenset(range(1, n + 1)) - input_reachable_states(A, B)
-    a_r = A.zeroed(rows=dead, cols=dead)
+    dead, a_r = input_reachable_restriction(A, B)
     gr_arb = grank(hstack(a_r, B))
     gr_qab = input_cactus_size(A, B)
     link = max_linking(a_r, B, C)

@@ -36,7 +36,6 @@ from structsys import (
     scc,
     sfo_preserved_under_functional_edge_addition,
     stack,
-    state_digraph,
 )
 from structsys.cli import load_system
 from structsys.grank import cactus_bigraph, cactus_size
@@ -171,16 +170,15 @@ def test_criterion_04_scc_heredity():
     for _ in range(1000):
         n = rnd.randint(2, 8)
         a = rand_gen_diag(rnd, n)
-        comps = scc(state_digraph(a))
+        comps = scc(a)
         count = len(comps)
         if count > 10:
             continue
-        vertex_sets = [frozenset(i for _, i in c) for c in comps]
         for mask in range(1 << count):
             states: set[int] = set()
             for k in range(count):
                 if mask >> k & 1:
-                    states |= vertex_sets[k]
+                    states |= comps[k]
             if states and not is_generically_diagonalizable(a.induced(states)).verdict:
                 violations += 1
     elapsed = time.time() - t0

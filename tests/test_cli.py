@@ -247,6 +247,35 @@ def test_dot_system_marks_functional_states(capsys):
     assert '"x4" -> "x4" [color=red penwidth=2];' in out
 
 
+DOT_SYSTEM_SMALL = """digraph system {
+  rankdir=LR;
+  "x1" [shape=circle];
+  "x2" [shape=circle];
+  "x3" [shape=circle style=filled fillcolor=gray80];
+  "u1" [shape=box style=filled fillcolor=lightblue];
+  "y1" [shape=box style=filled fillcolor=lightpink];
+  "u1" -> "x2";
+  "x1" -> "x2" [color=red penwidth=2];
+  "x1" -> "y1";
+  "x2" -> "x1" [color=red penwidth=2];
+  "x3" -> "x3" [color=red penwidth=2];
+  "x3" -> "y1";
+}
+"""
+
+
+def test_dot_system_pinned(capsys, tmp_path):
+    # input edges first, then per state its edges to states and to outputs
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({
+        "n": 3, "m": 1, "p": 1, "r": 1, "A": [[2, 1], [1, 2], [3, 3]],
+        "B": [[2, 1]], "C": [[1, 1], [1, 3]], "F": [[1, 3]],
+    }))
+    code, out, _ = run(capsys, "export-dot", str(path), "--graph", "system")
+    assert code == 0
+    assert out == DOT_SYSTEM_SMALL
+
+
 def test_dot_linking_highlights_maximum_linking(capsys):
     code, out, _ = run(capsys, "export-dot", SOC, "--graph", "linking")
     assert code == 0

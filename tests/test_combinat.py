@@ -12,7 +12,6 @@ from structsys import (
     Flow,
     FlowNetwork,
     Pattern,
-    SystemPattern,
     extremal_weight_max_matching,
     identity_pattern,
     max_matching,
@@ -20,11 +19,9 @@ from structsys import (
     pattern_bigraph,
     reachable,
     scc,
-    state_digraph,
-    system_digraph,
 )
-from structsys.grank import linking_network, loop_augmented_bigraph
-from support import COUNTER_A, rand_pattern
+from structsys.grank import linking_network, loop_augmented_bigraph, output_reachable_states
+from support import COUNTER_A, COUNTER_C, rand_pattern
 
 
 def all_matchings(g: Bigraph):
@@ -325,26 +322,28 @@ def test_flow_result_invariants():
 # scc / reachable
 
 
-def chain_graph():
-    return state_digraph(Pattern(3, 3, {(2, 1), (3, 2)}))
+CHAIN = Pattern(3, 3, {(2, 1), (3, 2)})  # x1 -> x2 -> x3
 
 
 def test_scc_acyclic_chain():
-    comps = scc(chain_graph())
-    assert [sorted(c) for c in comps] == [[("x", 3)], [("x", 2)], [("x", 1)]]
+    assert scc(CHAIN) == [{3}, {2}, {1}]
+
+
+def test_scc_takes_roots_and_successors_in_ascending_order():
+    # the component ids that placement reports and scc_induced_diagonalizable
+    # takes depend on this order
+    assert scc(Pattern(2, 2)) == [{1}, {2}]
+    assert scc(Pattern(3, 3, {(2, 1), (3, 1)})) == [{2}, {3}, {1}]  # x1 -> x2, x1 -> x3
+    assert scc(Pattern(4, 4, {(1, 2), (2, 1), (4, 3)})) == [{1, 2}, {4}, {3}]
 
 
 def test_scc_two_cycle():
-    g = state_digraph(Pattern(2, 2, {(1, 2), (2, 1)}))
-    comps = scc(g)
-    assert len(comps) == 1 and comps[0] == {("x", 1), ("x", 2)}
+    comps = scc(Pattern(2, 2, {(1, 2), (2, 1)}))
+    assert len(comps) == 1 and comps[0] == {1, 2}
 
 
 def test_scc_counterexample_partition():
-    comps = scc(state_digraph(COUNTER_A))
-    assert sorted(sorted(c) for c in comps) == [
-        [("x", 1)], [("x", 2)], [("x", 3)], [("x", 4)],
-    ]
+    assert sorted(sorted(c) for c in scc(COUNTER_A)) == [[1], [2], [3], [4]]
 
 
 def test_scc_properties_random():
@@ -352,43 +351,94 @@ def test_scc_properties_random():
     for _ in range(30):
         n = rnd.randint(1, 7)
         a = rand_pattern(rnd, n, n, 0.35)
-        g = state_digraph(a)
-        comps = scc(g)
+        comps = scc(a)
         seen = [v for c in comps for v in c]
-        assert sorted(seen) == sorted(g.vertices)  # disjoint cover
+        assert sorted(seen) == list(range(1, n + 1))  # disjoint cover
         index = {v: k for k, c in enumerate(comps) for v in c}
-        for tail, head in g.edges:
+        for head, tail in a.nonzeros:
             # reverse topological: cross edges point to earlier components
             assert index[tail] >= index[head]
         for c in comps:  # each component is strongly connected
             for v in c:
-                assert c <= reachable(g, [v], "forward")
+                assert c <= reachable(a, [v], "forward")
+
+
+def test_edge_direction_follows_the_pattern():
+    # A[i, j] != 0 is the edge x_j -> x_i
+    a = Pattern(2, 2, {(2, 1)})
+    assert reachable(a, [1], "forward") == {1, 2}
+    assert reachable(a, [2], "forward") == {2}
+    assert reachable(a, [2], "backward") == {1, 2}
+    assert reachable(a, [1], "backward") == {1}
+    assert scc(a) == [{2}, {1}]
+    # counterexample: x4 feeds every state and the outputs read x1..x3 and x4
+    assert reachable(COUNTER_A, [4], "forward") == {1, 2, 3, 4}
+    assert reachable(COUNTER_A, [1], "backward") == {1, 4}
+    assert output_reachable_states(COUNTER_A, COUNTER_C) == {1, 2, 3, 4}
+    assert output_reachable_states(COUNTER_A, Pattern(1, 4, {(1, 1)})) == {1, 4}
+    assert output_reachable_states(COUNTER_A, Pattern(1, 4, {(1, 4)})) == {4}
+    assert output_reachable_states(COUNTER_A, Pattern(0, 4)) == frozenset()
 
 
 def test_reachable_chain_backward():
-    assert reachable(chain_graph(), [("x", 3)], "backward") == {
-        ("x", 1), ("x", 2), ("x", 3),
-    }
+    assert reachable(CHAIN, [3], "backward") == {1, 2, 3}
 
 
 def test_reachable_isolated_vertex():
-    g = state_digraph(Pattern(1, 1))
-    assert reachable(g, [("x", 1)], "forward") == {("x", 1)}
+    assert reachable(Pattern(1, 1), [1], "forward") == {1}
 
 
 def test_reachable_soc_example_input_set():
     a = Pattern(5, 5, {(2, 1), (3, 2), (4, 1), (4, 5)})
-    b = Pattern(5, 1, {(1, 1)})
-    g = system_digraph(SystemPattern(A=a, B=b))
-    hit = reachable(g, [("u", 1)], "forward")
-    assert {i for kind, i in hit if kind == "x"} == {1, 2, 3, 4}
+    assert reachable(a, [1], "forward") == {1, 2, 3, 4}  # u1 drives x1
 
 
 def test_reachable_rejects_foreign_seed():
+    with pytest.raises(ValueError, match=r"state index 9 out of range 1\.\.3"):
+        reachable(CHAIN, [9], "forward")
     with pytest.raises(ValueError):
-        reachable(chain_graph(), [("x", 9)], "forward")
+        reachable(CHAIN, [0], "backward")
     with pytest.raises(ValueError):
-        reachable(chain_graph(), [("x", 1)], "sideways")
+        reachable(CHAIN, [1], "sideways")
+    with pytest.raises(ValueError, match="A must be square"):
+        scc(Pattern(2, 3))
+
+
+def test_scc_and_reachable_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(81)
+    for trial in range(300):
+        n = rnd.randint(0, 40)
+        a = rand_pattern(rnd, n, n, rnd.choice((0.02, 0.05, 0.1, 0.3)) if n else 0.0)
+        g = nx.DiGraph()
+        g.add_nodes_from(range(1, n + 1))
+        g.add_edges_from((j, i) for i, j in a.nonzeros)  # self-loops included
+        comps = scc(a)
+        assert set(comps) == {frozenset(c) for c in nx.strongly_connected_components(g)}
+        index = {v: k for k, c in enumerate(comps) for v in c}
+        assert all(index[tail] >= index[head] for tail, head in g.edges)
+        if not n:
+            assert reachable(a, [], "forward") == frozenset()
+            continue
+        seeds = rnd.sample(range(1, n + 1), rnd.randint(0, min(n, 3)))
+        forward = set(seeds).union(*(nx.descendants(g, s) for s in seeds))
+        backward = set(seeds).union(*(nx.ancestors(g, s) for s in seeds))
+        assert reachable(a, seeds, "forward") == forward
+        assert reachable(a, seeds, "backward") == backward
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
+def test_scc_and_reachable_on_a_long_path_need_no_recursion(closed):
+    n = 20000
+    edges = {(i + 1, i) for i in range(1, n)}  # x_i -> x_{i+1}
+    if closed:
+        edges.add((1, n))
+    a = Pattern(n, n, edges)
+    comps = scc(a)
+    assert comps == ([frozenset(range(1, n + 1))] if closed else [{i} for i in range(n, 0, -1)])
+    assert reachable(a, [1], "forward") == frozenset(range(1, n + 1))
+    assert reachable(a, [n], "backward") == frozenset(range(1, n + 1))
+    assert reachable(a, [n], "forward") == (frozenset(range(1, n + 1)) if closed else {n})
 
 
 def test_max_matching_long_augmenting_path():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -19,7 +20,6 @@ from structsys import (
     is_generically_diagonalizable,
     pattern_bigraph,
     stack,
-    system_digraph,
 )
 from support import COUNTER_A, COUNTER_C, rand_pattern
 
@@ -81,31 +81,6 @@ def test_column_support_is_computed_once_and_not_compared():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
-def test_system_digraph_single_edge():
-    sys_pat = SystemPattern(A=Pattern(2, 2, {(2, 1)}))
-    g = system_digraph(sys_pat)
-    assert g.edges == {(("x", 1), ("x", 2))}
-
-
-def test_system_digraph_counterexample():
-    sys_pat = SystemPattern(A=COUNTER_A, C=COUNTER_C)
-    g = system_digraph(sys_pat)
-    state_edges = {(t, h) for t, h in g.edges if t[0] == "x" and h[0] == "x"}
-    assert state_edges == {(("x", 4), ("x", j)) for j in (1, 2, 3, 4)}
-    out_edges = {(t, h) for t, h in g.edges if h[0] == "y"}
-    assert out_edges == {
-        (("x", 1), ("y", 1)), (("x", 2), ("y", 1)), (("x", 3), ("y", 1)),
-        (("x", 1), ("y", 2)), (("x", 2), ("y", 2)), (("x", 3), ("y", 2)),
-        (("x", 4), ("y", 3)),
-    }
-
-
-def test_system_digraph_zero_pattern():
-    g = system_digraph(SystemPattern(A=Pattern(3, 3)))
-    assert len(g.vertices) == 3
-    assert not g.edges
-
-
 def test_pattern_bigraph_diagonal():
     g = pattern_bigraph(Pattern(3, 3, {(1, 1), (2, 2), (3, 3)}))
     assert {(r, l) for r, l, _ in g.edges} == {(1, 1), (2, 2), (3, 3)}
@@ -126,18 +101,6 @@ def test_bigraph_pattern_round_trip():
     for _ in range(50):
         p = rand_pattern(rnd, rnd.randint(1, 5), rnd.randint(1, 5), 0.4)
         assert bigraph_pattern(pattern_bigraph(p)) == p
-
-
-def test_digraph_bigraph_consistency():
-    rnd = random.Random(2)
-    for _ in range(30):
-        n = rnd.randint(1, 6)
-        a = rand_pattern(rnd, n, n, 0.4)
-        g = system_digraph(SystemPattern(A=a))
-        b = pattern_bigraph(a)
-        digraph_edges = {(t[1], h[1]) for t, h in g.edges}
-        bigraph_edges = {(r, l) for r, l, _ in b.edges}
-        assert digraph_edges == bigraph_edges
 
 
 def test_bigraph_rejects_duplicates_and_negative_cost():
@@ -173,6 +136,12 @@ def test_induced_and_zeroed():
     a = Pattern(3, 3, {(1, 2), (2, 1), (3, 3)})
     assert a.induced([1, 2]) == Pattern(2, 2, {(1, 2), (2, 1)})
     assert a.induced([3]) == Pattern(1, 1, {(1, 1)})
+    # a state that does not exist is an error, not an isolated state
+    for bad, first in (([0, 2, 99], 0), ([1, 2, 99], 99)):
+        with pytest.raises(ValueError, match=re.escape(f"state index {first} out of range 1..3")):
+            a.induced(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        is_generically_diagonalizable(a.induced([1, 2, 7]))
     assert a.zeroed(rows=[3], cols=[3]) == Pattern(3, 3, {(1, 2), (2, 1)})
 
 

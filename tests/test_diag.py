@@ -16,7 +16,6 @@ from structsys import (
     is_generically_diagonalizable,
     scc,
     scc_induced_diagonalizable,
-    state_digraph,
 )
 from support import COUNTER_A, all_patterns, rand_square
 
@@ -65,7 +64,7 @@ def test_report_invariants_random():
         loops = all((i, i) in a.nonzeros for i in range(1, n + 1))
         symmetric = all((j, i) in a.nonzeros for i, j in a.nonzeros)
         acyclic = all(i != j for i, j in a.nonzeros) and all(
-            len(c) == 1 for c in scc(state_digraph(a))
+            len(c) == 1 for c in scc(a)
         )
         if loops or symmetric:
             assert rep.verdict
@@ -114,7 +113,7 @@ def test_scc_induced_full_subset_matches_whole():
     rnd = random.Random(22)
     for _ in range(30):
         a = rand_square(rnd, rnd.randint(1, 6))
-        comps = scc(state_digraph(a))
+        comps = scc(a)
         assert scc_induced_diagonalizable(a, range(len(comps))) == (
             is_generically_diagonalizable(a).verdict
         )
@@ -124,8 +123,8 @@ def test_scc_induced_acyclic_pair_certifies_failure():
     # 2-cycle on x1, x2 plus a lone edge x3 -> x4: the subgraph induced by
     # the two singleton components is acyclic and nonzero
     a = Pattern(4, 4, {(1, 2), (2, 1), (4, 3)})
-    comps = scc(state_digraph(a))
-    singletons = [k for k, c in enumerate(comps) if c <= {("x", 3), ("x", 4)}]
+    comps = scc(a)
+    singletons = [k for k, c in enumerate(comps) if c <= {3, 4}]
     assert len(singletons) == 2
     assert not scc_induced_diagonalizable(a, singletons)
     assert not is_generically_diagonalizable(a).verdict
@@ -147,7 +146,7 @@ def test_scc_heredity_sample():
 
     for _ in range(25):
         a = rand_gen_diag(rnd, rnd.randint(2, 6))
-        comps = scc(state_digraph(a))
+        comps = scc(a)
         count = len(comps)
         for mask in range(1 << min(count, 6)):
             subset = [k for k in range(min(count, 6)) if mask >> k & 1]

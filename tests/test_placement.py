@@ -25,7 +25,6 @@ from structsys import (
     reachable,
     sample_field_realization,
     stack,
-    state_digraph,
 )
 from structsys.grank import cactus_bigraph, cactus_size
 from structsys.oracle import brute_min_sensors_constrained
@@ -190,10 +189,8 @@ def _alg3_per_state_reference(a: Pattern, f: Pattern) -> tuple[Pattern, list[int
     cert = cactus_size(a, dedicated_rows(n, x_f)).certificate
     x_h = sorted(r for r, l in cert.edges if r <= n < l)
     entries = {(k + 1, state) for k, state in enumerate(x_h)}
-    g = state_digraph(a)
     for state in sorted(x_f - set(x_h)):
-        fwd = reachable(g, [("x", state)], "forward")
-        if not set(x_h) & {i for _, i in fwd}:
+        if not set(x_h) & reachable(a, [state], "forward"):
             entries.add((1, state))
     return Pattern(max(1, len(x_h)), n, frozenset(entries)), x_h
 

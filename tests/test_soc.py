@@ -10,16 +10,14 @@ from structsys import (
     OracleConfig,
     Pattern,
     PreconditionError,
-    SystemPattern,
     input_reachable_restriction,
     is_generically_diagonalizable,
     is_soc,
     numeric_output_controllable,
-    reachable,
     sample_field_realization,
-    system_digraph,
     unit_row,
 )
+from structsys.grank import output_reachable_states
 from structsys.soc import input_reachable_states
 from support import eye, rand_gen_diag, rand_pattern, rand_square
 
@@ -34,26 +32,24 @@ def test_input_reachable_states_is_forward_reachability_from_the_inputs():
         n, m = rnd.randint(1, 7), rnd.randint(0, 3)
         a = rand_square(rnd, n)
         b = rand_pattern(rnd, n, m, rnd.uniform(0.0, 0.5))
-        g = system_digraph(SystemPattern(A=a, B=b if m else None))
-        seeds = [("u", j) for j in range(1, m + 1)]
-        hit = reachable(g, seeds, "forward") if seeds else frozenset()
-        assert input_reachable_states(a, b) == frozenset(i for kind, i in hit if kind == "x")
+        # by transposition duality, the states of (A^T, B^T) with a path to some output
+        assert input_reachable_states(a, b) == output_reachable_states(a.transpose(), b.transpose())
 
 
 def test_restriction_all_reachable_is_identity():
     a = Pattern(3, 3, {(2, 1), (3, 2), (1, 3)})
     b = Pattern(3, 1, {(1, 1)})
-    assert input_reachable_restriction(a, b) == a
+    assert input_reachable_restriction(a, b) == (frozenset(), a)
 
 
 def test_restriction_no_inputs_zeroes_everything():
     a = Pattern(3, 3, {(2, 1), (3, 2)})
-    assert input_reachable_restriction(a, Pattern(3, 2)) == Pattern(3, 3)
+    assert input_reachable_restriction(a, Pattern(3, 2)) == ({1, 2, 3}, Pattern(3, 3))
 
 
 def test_restriction_soc_example():
-    restricted = input_reachable_restriction(SOC_A, SOC_B)
-    assert restricted == Pattern(5, 5, {(2, 1), (3, 2), (4, 1)})
+    dead, restricted = input_reachable_restriction(SOC_A, SOC_B)
+    assert dead == {5} and restricted == Pattern(5, 5, {(2, 1), (3, 2), (4, 1)})
 
 
 def test_restriction_rejects_mismatch():
@@ -195,7 +191,8 @@ def _check_linking(rep, a, b, c):
     # linear-time certificate check: every arc is an edge of the two-layer
     # graph of (A_r, B, C), no node is used twice in its layer, every
     # first-layer state entered is left, and the size is the reported one
-    a_r = input_reachable_restriction(a, b)
+    dead, a_r = input_reachable_restriction(a, b)
+    assert dead == rep.input_unreachable
     cert = rep.certificate
     assert all((j, i) in b.nonzeros for i, j in cert.inputs)
     assert all((j, i) in a_r.nonzeros for i, j in cert.states)
