@@ -22,7 +22,6 @@ from .core import (
     Pattern,
     PreconditionError,
     SystemPattern,
-    bigraph_pattern,
     dedicated_rows,
     hstack,
     identity_pattern,
@@ -30,12 +29,17 @@ from .core import (
     stack,
     unit_row,
 )
-from .diag import DiagReport, certificate_components, is_generically_diagonalizable, scc_induced_diagonalizable
+from .diag import (
+    DiagReport,
+    certificate_components,
+    cycle_cover_max,
+    is_generically_diagonalizable,
+    scc_induced_diagonalizable,
+)
 from .grank import (
     CactusReport,
     Linking,
     cactus_size,
-    cycle_cover_max,
     grank,
     input_cactus_size,
     linking_size,
@@ -92,7 +96,6 @@ __all__ = [
     "SfoReport",
     "SocReport",
     "SystemPattern",
-    "bigraph_pattern",
     "brute_force",
     "cactus_size",
     "certificate_components",

@@ -45,6 +45,9 @@ from .sfo import SfoReport, is_sfo, is_sfo_diag
 from .soc import SocReport, is_soc, input_reachable_restriction
 
 _TOP_KEYS = ("n", "m", "p", "r", "A", "B", "C", "F")
+# largest n, m, p or r a system file may declare; checked before any pattern
+# of that size is built, so a hostile dimension exits 1 instead of allocating
+MAX_DIMENSION = 10**6
 
 
 class SystemFileError(ValueError):
@@ -69,6 +72,8 @@ def parse_system(doc: Any) -> SystemPattern:
         value = doc[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise SystemFileError(f"field {key!r} must be a non-negative integer")
+        if value > MAX_DIMENSION:
+            raise SystemFileError(f"field {key!r} must be at most {MAX_DIMENSION}")
         dims[key] = value
     if dims["n"] < 1:
         raise SystemFileError("field 'n' must be at least 1")

@@ -276,8 +276,3 @@ def pattern_bigraph(M: Pattern) -> Bigraph:
     """Bipartite view of a pattern: rows on the left, columns on the right,
     a zero-cost edge (j, i) for every nonzero M[i, j]."""
     return Bigraph(M.rows, M.cols, tuple((j, i, 0) for i, j in M.sorted_nonzeros()))
-
-
-def bigraph_pattern(g: Bigraph) -> Pattern:
-    """Inverse of :func:`pattern_bigraph`, dropping costs."""
-    return Pattern(g.left, g.right, frozenset((l, r) for r, l, _ in g.edges))

@@ -12,8 +12,22 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .combinat import extremal_weight_max_matching, scc
-from .core import Matching, Pattern, check_shapes
-from .grank import grank, loop_augmented_bigraph
+from .core import Bigraph, Matching, Pattern, check_shapes
+from .grank import grank
+
+
+def loop_augmented_bigraph(A: Pattern) -> Bigraph:
+    """Bipartite graph of a square pattern plus a cost-1 loop on every state
+    whose diagonal entry is zero; real edges keep cost 0.
+
+    The identity is always a perfect matching here, and the minimum weight of
+    a maximum matching counts how many synthetic loops are unavoidable;
+    :func:`certificate_components` drops those loops again.
+    """
+    n = check_shapes(A)
+    edges = [(j, i, 0) for i, j in A.sorted_nonzeros()]
+    edges += [(i, i, 1) for i in range(1, n + 1) if (i, i) not in A.nonzeros]
+    return Bigraph(n, n, tuple(edges))
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +66,11 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
         mwmm_weight=weight,
         certificate=cert,
     )
+
+
+def cycle_cover_max(A: Pattern) -> int:
+    """Largest number of state vertices covered by vertex-disjoint cycles."""
+    return is_generically_diagonalizable(A).v_A
 
 
 def certificate_components(

@@ -3,9 +3,9 @@
 The generic rank of a pattern is the rank that almost every numeric
 realization attains; it equals the maximum matching size of the pattern's
 bipartite graph. The other quantities here are the graph-side counterparts
-used by the observability and controllability analyses: the largest
-vertex-disjoint cycle cover, the largest output cactus configuration, and
-the largest vertex-disjoint linking through a two-layer product graph.
+used by the observability and controllability analyses: the largest output
+cactus configuration and the largest vertex-disjoint linking through a
+two-layer product graph.
 """
 
 from __future__ import annotations
@@ -37,29 +37,6 @@ from .core import (
 def grank(M: Pattern) -> int:
     """Generic rank: size of a maximum matching of the pattern's bigraph."""
     return max_matching(pattern_bigraph(M)).size
-
-
-def loop_augmented_bigraph(A: Pattern) -> Bigraph:
-    """Bipartite graph of a square pattern plus a cost-1 loop on every state
-    whose diagonal entry is zero; real edges keep cost 0.
-
-    The identity is always a perfect matching here, and the minimum weight of
-    a maximum matching counts how many synthetic loops are unavoidable.
-    """
-    n = check_shapes(A)
-    edges = [(j, i, 0) for i, j in A.sorted_nonzeros()]
-    edges += [(i, i, 1) for i in range(1, n + 1) if (i, i) not in A.nonzeros]
-    return Bigraph(n, n, tuple(edges))
-
-
-def cycle_cover_max(A: Pattern) -> int:
-    """Largest number of state vertices covered by vertex-disjoint cycles."""
-    n = check_shapes(A)
-    if n == 0:
-        return 0
-    g = loop_augmented_bigraph(A)
-    m = extremal_weight_max_matching(g, "minimize")
-    return n - g.weight(m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,4 +251,4 @@ def max_linking(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -> Li
 def linking_size(A_r: Pattern, B: Pattern, C: Pattern) -> int:
     """Largest vertex-disjoint linking; equals the generic rank of the
     product of the output pattern with [A_r, B]."""
-    return min_cost_max_flow(linking_network(A_r, B, C)).value
+    return max_linking(A_r, B, C).size

@@ -291,33 +291,24 @@ def numeric_output_controllable(
     A_real: Realization, B_real: Realization, C_real: Realization, cfg: OracleConfig
 ) -> bool:
     """Whether rank C [B, AB, ..., A^(n-1) B] equals the output count for one
-    realization; exact over the prime field when the values are integers."""
-    import numpy as np
+    prime-field realization, computed exactly over GF(modulus). Raises
+    ``ValueError`` on a realization with a non-integral value."""
+    if not all(
+        float(v).is_integer() for real in (A_real, B_real, C_real) for _, v in real.values
+    ):
+        raise ValueError("the output-controllability check needs integer (prime-field) values")
     p = C_real.pattern.rows
     n = A_real.pattern.rows
-    ints = all(
-        float(v).is_integer() for real in (A_real, B_real, C_real) for _, v in real.values
-    )
-    if ints:
-        q = cfg.modulus
-        a = A_real.dense()
-        b = B_real.dense()
-        c = C_real.dense()
-        blocks: list[list[int]] = [[] for _ in range(p)]
+    q = cfg.modulus
+    a, b, c = A_real.dense(), B_real.dense(), C_real.dense()
+    blocks: list[list[int]] = [[] for _ in range(p)]
+    cb = _field_matmul(c, b, q)
+    for _ in range(n):
+        for r in range(p):
+            blocks[r].extend(cb[r])
+        b = _field_matmul(a, b, q)
         cb = _field_matmul(c, b, q)
-        for _ in range(n):
-            for r in range(p):
-                blocks[r].extend(cb[r])
-            b = _field_matmul(a, b, q)
-            cb = _field_matmul(c, b, q)
-        return field_rank(blocks, q) == p
-    a = A_real.array()
-    b = B_real.array()
-    c = C_real.array()
-    ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)]) if b.size else np.zeros((n, 0))
-    prod = c @ ctrb if ctrb.size else np.zeros((p, 0))
-    sv_max = float(np.linalg.norm(prod, 2)) if prod.size else 0.0
-    return _float_rank(prod, cfg.float_tolerance * max(1.0, sv_max)) == p
+    return field_rank(blocks, q) == p
 
 
 # ---------------------------------------------------------------------------

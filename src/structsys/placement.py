@@ -30,7 +30,7 @@ from .core import (
 )
 from .diag import is_generically_diagonalizable
 from .grank import cactus_size, grank, max_linking
-from .sfo import functional_states
+from .sfo import functional_states, sfo_feasible
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,15 +134,15 @@ def min_sensors_iterative(A: Pattern, F: Pattern) -> SensorPlacement:
     appending.
 
     Appends copies of the row supported exactly on the functional states
-    while doing so still leaves a cactus-size gap to close. Minimal among
-    output patterns whose sensors touch only functional states.
+    until the triple (A, C, F) is SFO. Minimal among output patterns whose
+    sensors touch only functional states.
     """
     x_f = _require_functional(A, F)
     n = A.rows
     eta = Pattern(1, n, frozenset((1, i) for i in sorted(x_f)))
     c = Pattern(0, n, frozenset())
     for _ in range(len(x_f) + 1):
-        if cactus_size(A, stack(c, F)).size - cactus_size(A, c).size < 1:
+        if sfo_feasible(A, c, F):
             break
         c = stack(c, eta)
     else:

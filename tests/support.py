@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 from structsys import (
     Flow,
     FlowNetwork,
     Pattern,
+    SensorPlacement,
     SfoReport,
     cactus_size,
     functional_states,
@@ -21,6 +23,16 @@ from structsys import (
 from structsys.grank import output_reachable_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+FIXTURE_NAMES = (
+    "example_actuator",
+    "example_alg1",
+    "example_counter",
+    "example_sensor_general",
+    "example_soc",
+    "zero",
+)
 
 
 def fixture_path(name: str) -> str:
@@ -171,6 +183,24 @@ def bellman_ford_min_cost_max_flow(net: FlowNetwork) -> Flow:
 
 
 
+def count_flow_solves(monkeypatch) -> list[FlowNetwork]:
+    """Make every flow solve append its network to the returned list. The
+    package re-exports functions under its submodules' names
+    (``structsys.grank`` is the function), so every alias of the engine is
+    reached through ``sys.modules``."""
+    real = sys.modules["structsys.combinat"].min_cost_max_flow
+    solves: list[FlowNetwork] = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("structsys") and getattr(module, "min_cost_max_flow", None) is real:
+            monkeypatch.setattr(module, "min_cost_max_flow", counting)
+    return solves
+
+
 def chain_pattern(n: int) -> Pattern:
     """The chain {(r, r), (r+1, r)} plus (1, n): full generic rank n, and a
     matching search that meets one augmenting path through all n columns."""
@@ -198,3 +228,24 @@ def reference_is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
             i for i in x_f if cactus_size(A, stack(C, unit_row(A.cols, i))).size > d_ac
         )
     return SfoReport(verdict, "general-cactus", x_f, unreachable, d_ac, d_acf, failing)
+
+
+# ---------------------------------------------------------------------------
+# reference sensor placement: the earlier min_sensors_iterative, which appends
+# the functional-support row while the cactus gap of (A, [C; F]) over (A, C)
+# is at least 1, re-solving both cacti for every candidate row count
+
+
+def reference_min_sensors_iterative(A: Pattern, F: Pattern) -> SensorPlacement:
+    x_f = functional_states(F)
+    n = A.rows
+    eta = Pattern(1, n, frozenset((1, i) for i in sorted(x_f)))
+    c = Pattern(0, n, frozenset())
+    for _ in range(len(x_f) + 1):
+        if cactus_size(A, stack(c, F)).size - cactus_size(A, c).size < 1:
+            break
+        c = stack(c, eta)
+    else:
+        raise AssertionError("row appending failed to converge")
+    optimal = len(x_f) == n or is_generically_diagonalizable(A).verdict
+    return SensorPlacement(c, c.rows, "alg2", frozenset(), frozenset(), optimal)

@@ -23,6 +23,7 @@ from structsys import (
     min_sensors_matching,
 )
 from structsys.cli import (
+    MAX_DIMENSION,
     load_system,
     main,
     parse_system,
@@ -31,7 +32,14 @@ from structsys.cli import (
     save_system,
     system_to_doc,
 )
-from support import chain_pattern, fixture_path, rand_gen_diag, rand_pattern, rand_square
+from support import (
+    chain_pattern,
+    count_flow_solves,
+    fixture_path,
+    rand_gen_diag,
+    rand_pattern,
+    rand_square,
+)
 
 COUNTER = fixture_path("example_counter")
 SOC = fixture_path("example_soc")
@@ -77,6 +85,11 @@ def test_round_trip_is_identity(tmp_path):
         (lambda d: d.update(A=[[1]]), "malformed"),
         (lambda d: d.update(B=[[1, 1]]), "empty"),
         (lambda d: d.update(A={}), "array"),
+        # one past the limit is refused by the parse alone, before any pattern
+        (lambda d: d.update(n=MAX_DIMENSION + 1), "field 'n' must be at most 1000000"),
+        (lambda d: d.update(m=MAX_DIMENSION + 1), "field 'm' must be at most 1000000"),
+        (lambda d: d.update(p=MAX_DIMENSION + 1), "field 'p' must be at most 1000000"),
+        (lambda d: d.update(r=MAX_DIMENSION + 1), "field 'r' must be at most 1000000"),
     ],
 )
 def test_parse_rejections_name_the_field(mutate, message):
@@ -97,6 +110,7 @@ def test_exit_zero_on_analyses(capsys):
         ("sfo", COUNTER),
         ("soc", SOC),
         ("place-sensors", SENSOR, "--method", "alg2"),
+        ("place-sensors", SENSOR, "--method", "alg3"),
         ("place-actuators", ACTUATOR),
         ("oracle", COUNTER, "--check", "grank", "--trials", "2", "--seed", "1"),
         ("export-dot", SOC, "--graph", "system"),
@@ -112,6 +126,11 @@ def test_exit_one_on_parse_and_usage_errors(capsys, tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert run(capsys, "diag", str(notjson))[0] == 1
+    notobject = tmp_path / "notobject.json"
+    notobject.write_text("[]")
+    assert run(capsys, "diag", str(notobject)) == (
+        1, "", "error: top-level value must be an object\n"
+    )
     assert run(capsys, "diag", str(tmp_path / "missing.json"))[0] == 1
     assert run(capsys, "diag", COUNTER, "--frobnicate")[0] == 1  # unknown flag
     assert run(capsys, "grank", COUNTER, "--which", "Z")[0] == 1
@@ -204,6 +223,12 @@ def test_sensor_placement_round_trip(capsys):
     assert report_from_dict(doc) == min_sensors_diag(sys_pat.A, sys_pat.F)
     assert doc["sfo_with_output"] is True
     assert doc["p_star"] == 1 and doc["X_S"] == [2, 4] and doc["X_F_unmatched"] == [6]
+    doc = run_json(capsys, "place-sensors", SENSOR, "--method", "alg3")
+    sys_pat = load_system(SENSOR)
+    assert report_from_dict(doc) == min_sensors_matching(sys_pat.A, sys_pat.F)
+    assert doc["method"] == "alg3" and doc["p_star"] == 2
+    assert report_from_dict(doc).C_out.nonzeros == {(1, 3), (2, 4)}
+    assert doc["sfo_with_output"] is True
 
 
 def test_actuator_placement_round_trip(capsys):
@@ -331,21 +356,8 @@ def test_dot_flow_draws_the_pinned_flow(capsys):
 
 def test_soc_command_solves_two_flows(capsys, monkeypatch):
     # one flow for the input cactus, one for the linking; the emitted
-    # certificate is the linking the report already holds. The package
-    # re-exports functions under its submodules' names (``structsys.grank``
-    # is the function), so every alias is reached through ``sys.modules``.
-    import sys
-
-    real = sys.modules["structsys.combinat"].min_cost_max_flow
-    solves = []
-
-    def counting(*args, **kwargs):
-        solves.append(args[0])
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("structsys") and getattr(module, "min_cost_max_flow", None) is real:
-            monkeypatch.setattr(module, "min_cost_max_flow", counting)
+    # certificate is the linking the report already holds
+    solves = count_flow_solves(monkeypatch)
     assert run_json(capsys, "soc", SOC)["verdict"] == "soc"
     assert len(solves) == 2
 

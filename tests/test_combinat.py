@@ -20,7 +20,8 @@ from structsys import (
     reachable,
     scc,
 )
-from structsys.grank import linking_network, loop_augmented_bigraph, output_reachable_states
+from structsys.diag import loop_augmented_bigraph
+from structsys.grank import linking_network, output_reachable_states
 from support import COUNTER_A, COUNTER_C, rand_pattern
 
 
@@ -99,6 +100,24 @@ def test_max_matching_equals_min_vertex_cover():
         p = rand_pattern(rnd, 8, 8, rnd.uniform(0.1, 0.3))
         g = pattern_bigraph(p)
         assert min_vertex_cover_size(g) == max_matching(g).size
+
+
+def test_max_matching_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(91)
+    for _ in range(300):
+        left, right = rnd.randint(0, 40), rnd.randint(0, 40)
+        density = rnd.choice((0.02, 0.05, 0.1, 0.3)) if left and right else 0.0
+        g = pattern_bigraph(rand_pattern(rnd, left, right, density))
+        m = max_matching(g)
+        ref = nx.Graph()
+        ref.add_nodes_from(("r", r) for r in range(1, right + 1))
+        ref.add_nodes_from(("l", l) for l in range(1, left + 1))
+        ref.add_edges_from((("r", r), ("l", l)) for r, l, _ in g.edges)
+        top = {("r", r) for r in range(1, right + 1)}
+        expected = nx.bipartite.maximum_matching(ref, top_nodes=top)
+        assert m.size == len(expected) // 2  # networkx lists each pair both ways
+        assert m.edges <= {(r, l) for r, l, _ in g.edges}
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from structsys import (
     Matching,
     Pattern,
     SystemPattern,
-    bigraph_pattern,
+    dedicated_rows,
     hstack,
     is_generically_diagonalizable,
     pattern_bigraph,
     stack,
+    unit_row,
 )
 from support import COUNTER_A, COUNTER_C, rand_pattern
 
@@ -100,7 +101,11 @@ def test_bigraph_pattern_round_trip():
     rnd = random.Random(1)
     for _ in range(50):
         p = rand_pattern(rnd, rnd.randint(1, 5), rnd.randint(1, 5), 0.4)
-        assert bigraph_pattern(pattern_bigraph(p)) == p
+        g = pattern_bigraph(p)
+        # rows on the left, columns on the right, one zero-cost edge per entry
+        assert (g.left, g.right) == (p.rows, p.cols)
+        assert g.edges == tuple(sorted((j, i, 0) for i, j in p.nonzeros))
+        assert Pattern(g.left, g.right, frozenset((l, r) for r, l, _ in g.edges)) == p
 
 
 def test_bigraph_rejects_duplicates_and_negative_cost():
@@ -142,7 +147,19 @@ def test_induced_and_zeroed():
             a.induced(bad)
     with pytest.raises(ValueError, match="out of range"):
         is_generically_diagonalizable(a.induced([1, 2, 7]))
+    with pytest.raises(ValueError, match="requires a square pattern"):
+        Pattern(2, 3).induced([1])
     assert a.zeroed(rows=[3], cols=[3]) == Pattern(3, 3, {(1, 2), (2, 1)})
+
+
+def test_unit_and_dedicated_rows_check_their_indices():
+    assert unit_row(3, 2) == Pattern(1, 3, {(1, 2)})
+    assert dedicated_rows(3, [3, 1, 3]) == Pattern(2, 3, {(1, 1), (2, 3)})
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match=re.escape(f"unit row index {bad} out of range 1..3")):
+            unit_row(3, bad)
+        with pytest.raises(ValueError, match=re.escape(f"state index {bad} out of range 1..3")):
+            dedicated_rows(3, [2, bad])
 
 
 def test_matching_is_a_value_over_flat_pairs():

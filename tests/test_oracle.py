@@ -184,6 +184,17 @@ def test_numeric_output_controllable_trivia():
     assert not numeric_output_controllable(a_zero, b_zero, c_row, cfg)
 
 
+def test_numeric_output_controllable_works_over_the_prime_field_only():
+    cfg = OracleConfig(seed=6, trials=1)
+    a, b, c = COUNTER_A, eye(4), COUNTER_C
+    field = [sample_field_realization(M, cfg, 0, stream=k) for k, M in enumerate((a, b, c))]
+    assert numeric_output_controllable(*field, cfg)
+    real_a = sample_real_realization(a, cfg, 0)
+    assert any(not float(v).is_integer() for _, v in real_a.values)
+    with pytest.raises(ValueError, match="prime-field"):
+        numeric_output_controllable(real_a, *field[1:], cfg)
+
+
 def test_brute_force_counterexample_values():
     assert brute_force("v", COUNTER_A)[0] == 1
     assert brute_force("min-sensors", COUNTER_A, COUNTER_F)[0] == 1

@@ -31,10 +31,15 @@ from structsys.oracle import brute_min_sensors_constrained
 from support import (
     COUNTER_A,
     COUNTER_F,
+    FIXTURE_NAMES,
+    count_flow_solves,
     eye,
+    fixture_path,
     rand_gen_diag,
+    rand_nonempty_rows,
     rand_pattern,
     rand_square,
+    reference_min_sensors_iterative,
 )
 
 # reconstructed general-case instance: chain x1->x2->x3, edge x4->x5, x6 idle
@@ -221,6 +226,61 @@ def test_alg2_single_functional_state():
         placement = min_sensors_iterative(a, f)
         assert placement.p_star == 1
         assert is_sfo(a, placement.C_out, f).verdict
+
+
+def test_alg2_equals_the_cactus_gap_reference_on_fixtures():
+    from structsys.cli import load_system
+
+    checked = 0
+    for name in FIXTURE_NAMES:
+        sys_pat = load_system(fixture_path(name))
+        if not sys_pat.F.column_support():
+            with pytest.raises(PreconditionError):
+                min_sensors_iterative(sys_pat.A, sys_pat.F)
+            continue
+        ours = min_sensors_iterative(sys_pat.A, sys_pat.F)
+        assert ours == reference_min_sensors_iterative(sys_pat.A, sys_pat.F), name
+        checked += 1
+    assert checked >= 3
+
+
+def test_alg2_equals_the_cactus_gap_reference_on_random_instances():
+    # stopping on sfo_feasible must append exactly the rows the cactus gap did
+    rnd = random.Random(58)
+    rows_seen = set()
+    for trial in range(600):
+        n = rnd.randint(1, 9)
+        kind = trial % 3
+        if kind == 0:
+            a = rand_square(rnd, n, rnd.uniform(0.05, 0.45))
+        elif kind == 1:
+            a = rand_gen_diag(rnd, n)
+        else:  # isolated states, which only a dedicated row can observe
+            lonely = rnd.sample(range(1, n + 1), rnd.randint(1, n))
+            a = rand_square(rnd, n).zeroed(rows=lonely, cols=lonely)
+        f = rand_pattern(rnd, rnd.randint(1, 3), n, rnd.uniform(0.1, 0.6))
+        if not f.column_support():
+            continue
+        ours = min_sensors_iterative(a, f)
+        assert ours == reference_min_sensors_iterative(a, f), (a, f)
+        rows_seen.add(ours.p_star)
+    assert {1, 2, 3} <= rows_seen, rows_seen
+
+
+def test_alg2_makes_two_flow_solves_fewer_than_the_cactus_gap_loop(monkeypatch):
+    # at zero rows no state is output-reachable, so sfo_feasible appends the
+    # first row without the two cactus solves the gap loop made there
+    solves = count_flow_solves(monkeypatch)
+    rnd = random.Random(59)
+    cases = [(GEN_A, GEN_F), (COUNTER_A, COUNTER_F), (ALG1_A, ALG1_F)]
+    cases += [(rand_square(rnd, n), rand_nonempty_rows(rnd, 2, n)) for n in (3, 5, 8)]
+    for a, f in cases:
+        solves.clear()
+        ours = min_sensors_iterative(a, f)
+        made = len(solves)
+        solves.clear()
+        assert ours == reference_min_sensors_iterative(a, f)
+        assert made == len(solves) - 2, (a, f)
 
 
 def test_general_algorithms_agree_and_match_diag_optimum():

@@ -26,6 +26,8 @@ from support import (
     COUNTER_A,
     COUNTER_C,
     COUNTER_F,
+    FIXTURE_NAMES,
+    count_flow_solves,
     eye,
     fixture_path,
     rand_gen_diag,
@@ -272,16 +274,6 @@ def test_diag_failing_states_are_the_minimal_dilation_members():
     assert seen > 10
 
 
-FIXTURE_NAMES = (
-    "example_actuator",
-    "example_alg1",
-    "example_counter",
-    "example_sensor_general",
-    "example_soc",
-    "zero",
-)
-
-
 def test_is_sfo_equals_the_per_state_reference_on_fixtures():
     from structsys.cli import load_system
 
@@ -321,6 +313,8 @@ def test_is_sfo_equals_the_per_state_reference_on_random_instances():
         A, C, F = rand_sfo_instance(rnd, kind)
         ours = is_sfo(A, C, F)
         assert ours == reference_is_sfo(A, C, F), (A, C, F)
+        # a false verdict always names a failing state, and a true one none
+        assert ours.verdict == (not ours.failing_states), (A, C, F)
         n = A.rows
         seen["not sfo"] += not ours.verdict
         seen["p = 0"] += C.rows == 0
@@ -337,18 +331,7 @@ def test_is_sfo_equals_the_per_state_reference_on_random_instances():
 def test_is_sfo_makes_two_flow_solves(monkeypatch):
     # one for the cactus of [C; 0], one for [C; F]; the per-state diagnosis
     # is a residual search, however many functional states there are
-    import sys
-
-    real = sys.modules["structsys.combinat"].min_cost_max_flow
-    solves = []
-
-    def counting(*args, **kwargs):
-        solves.append(args[0])
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("structsys") and getattr(module, "min_cost_max_flow", None) is real:
-            monkeypatch.setattr(module, "min_cost_max_flow", counting)
+    solves = count_flow_solves(monkeypatch)
     n = 6
     everything = Pattern(1, n, frozenset((1, j) for j in range(1, n + 1)))
     rep = is_sfo(Pattern(n, n), Pattern(1, n, {(1, 1)}), everything)

@@ -28,7 +28,8 @@ from structsys import (
     sfo_preserved_under_functional_edge_addition,
 )
 from structsys.cli import parse_system
-from structsys.grank import cactus_bigraph, linking_network, loop_augmented_bigraph
+from structsys.diag import loop_augmented_bigraph
+from structsys.grank import cactus_bigraph, linking_network
 
 N = 3
 
