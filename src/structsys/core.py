@@ -192,16 +192,23 @@ class Bigraph:
     """Bipartite graph with non-negative integer edge costs.
 
     Edges are oriented right part to left part and stored canonically sorted,
-    one edge at most per (right, left) slot.
+    one edge at most per (right, left) slot. Each of the last ``block`` right
+    vertices is also joined at cost 0 to every left vertex 1..left - block.
+    That complete block is implicit: none of its edges is stored, and no
+    stored edge may fill one of its slots.
     """
 
     left: int
     right: int
     edges: tuple[tuple[int, int, int], ...]  # (right, left, cost)
+    block: int = 0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.block <= min(self.left, self.right):
+            raise ValueError(f"block {self.block} outside 0..{min(self.left, self.right)}")
         canon = tuple(sorted(self.edges))
         object.__setattr__(self, "edges", canon)
+        block_r, block_l = self.right - self.block, self.left - self.block
         last_r = last_l = 0
         for r, l, c in canon:
             if not (1 <= r <= self.right and 1 <= l <= self.left):
@@ -210,10 +217,15 @@ class Bigraph:
                 raise ValueError(f"edge ({r},{l}) has negative cost {c}")
             if r == last_r and l == last_l:  # sorted, so a duplicate follows its twin
                 raise ValueError(f"duplicate edge ({r},{l})")
+            if r > block_r and l <= block_l:
+                raise ValueError(f"edge ({r},{l}) lies in the implicit block")
             last_r, last_l = r, l
 
     def cost(self, r: int, l: int) -> int:
-        """Cost of edge (r, l), by binary search on the sorted edges."""
+        """Cost of edge (r, l): 0 in the block, else by binary search on the
+        sorted edges."""
+        if self.right - self.block < r <= self.right and 1 <= l <= self.left - self.block:
+            return 0
         edges = self.edges
         k = bisect_left(edges, (r, l))
         if k < len(edges) and edges[k][0] == r and edges[k][1] == l:

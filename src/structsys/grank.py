@@ -26,6 +26,7 @@ from .combinat import (
 )
 from .core import (
     Bigraph,
+    Entry,
     Matching,
     Pattern,
     check_shapes,
@@ -70,7 +71,9 @@ def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
     state return edges cost 0. A configuration covering d states with s
     stems then weighs (q+1)d - s, and s never exceeds q, so the matching
     weight ranks configurations by covered states first and by fewer stems
-    second.
+    second. The return edges, which close stems into matching cycles, are
+    the bigraph's implicit block of p outputs by n states, so none of those
+    p·n edges is listed.
     """
     n, p = check_shapes(A, C=C), C.rows
     q = p
@@ -84,10 +87,7 @@ def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
     for v in range(1, n + p + 1):
         if (v, v) not in present:
             edges.append((v, v, 0))
-    for j in range(1, p + 1):  # return edges close stems into matching cycles
-        for i in range(1, n + 1):
-            edges.append((n + j, i, 0))
-    return Bigraph(n + p, n + p, tuple(edges)), q
+    return Bigraph(n + p, n + p, tuple(edges), block=p), q
 
 
 def _cactus_shape(weight: int, q: int) -> tuple[int, int]:
@@ -167,22 +167,46 @@ def input_cactus_size(A: Pattern, B: Pattern) -> int:
     return cactus_size(A.transpose(), B.transpose()).size
 
 
-@dataclass(frozen=True, slots=True)
+def _pairs(flat: tuple[int, ...]) -> tuple[Entry, ...]:
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Linking:
     """The arcs a maximum vertex-disjoint linking of the two-layer graph uses.
 
     Arcs are (tail, head) index pairs in the network's arc order: ``inputs``
     u_i -> x_j^1, ``states`` x_i^2 -> x_j^1 and ``outputs`` x_i^1 -> y_j.
-    Every linking path ends in exactly one output arc.
+    Every linking path ends in exactly one output arc. Each layer is stored
+    as one flat tuple ``tail1, head1, tail2, head2, ...``, so a held linking
+    keeps no tuple per arc.
     """
 
-    inputs: tuple[tuple[int, int], ...]
-    states: tuple[tuple[int, int], ...]
-    outputs: tuple[tuple[int, int], ...]
+    input_flat: tuple[int, ...]
+    state_flat: tuple[int, ...]
+    output_flat: tuple[int, ...]
+
+    def __init__(
+        self, inputs: Iterable[Entry], states: Iterable[Entry], outputs: Iterable[Entry]
+    ) -> None:
+        for name, arcs in (("input_flat", inputs), ("state_flat", states), ("output_flat", outputs)):
+            object.__setattr__(self, name, tuple(v for arc in arcs for v in arc))
+
+    @property
+    def inputs(self) -> tuple[Entry, ...]:
+        return _pairs(self.input_flat)
+
+    @property
+    def states(self) -> tuple[Entry, ...]:
+        return _pairs(self.state_flat)
+
+    @property
+    def outputs(self) -> tuple[Entry, ...]:
+        return _pairs(self.output_flat)
 
     @property
     def size(self) -> int:
-        return len(self.outputs)
+        return len(self.output_flat) // 2
 
 
 def linking_network(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -> FlowNetwork:

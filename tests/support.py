@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import sys
 from pathlib import Path
 
 from structsys import (
+    Bigraph,
     Flow,
     FlowNetwork,
     Pattern,
@@ -23,6 +25,7 @@ from structsys import (
 from structsys.grank import output_reachable_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_GEN = Path(__file__).parents[1] / "bench" / "gen.py"
 
 
 FIXTURE_NAMES = (
@@ -249,3 +252,36 @@ def reference_min_sensors_iterative(A: Pattern, F: Pattern) -> SensorPlacement:
         raise AssertionError("row appending failed to converge")
     optimal = len(x_f) == n or is_generically_diagonalizable(A).verdict
     return SensorPlacement(c, c.rows, "alg2", frozenset(), frozenset(), optimal)
+
+
+# ---------------------------------------------------------------------------
+# reference cactus bigraph: the earlier cactus_bigraph, which lists the p·n
+# zero-cost return edges y_j -> x_i one by one instead of as an implicit block
+
+
+def reference_cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
+    n, p = A.rows, C.rows
+    q = p
+    w = output_reachable_states(A, C)
+    edges: list[tuple[int, int, int]] = []
+    for i, j in A.sorted_nonzeros():  # A[i,j] != 0 <=> state edge x_j -> x_i
+        edges.append((j, i, q + 1 if i in w else 0))
+    for i, j in C.sorted_nonzeros():  # C[i,j] != 0 <=> output edge x_j -> y_i
+        edges.append((j, n + i, q))
+    present = {(r, l) for r, l, _ in edges}
+    for v in range(1, n + p + 1):
+        if (v, v) not in present:
+            edges.append((v, v, 0))
+    for j in range(1, p + 1):  # return edges close stems into matching cycles
+        for i in range(1, n + 1):
+            edges.append((n + j, i, 0))
+    return Bigraph(n + p, n + p, tuple(edges)), q
+
+
+def bench_gen():
+    """The benchmark's seeded instance generators (``bench/gen.py``), loaded
+    from their file without putting ``bench/`` on the import path."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

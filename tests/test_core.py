@@ -185,6 +185,31 @@ def test_bigraph_cost_finds_every_edge_and_only_those():
             g.cost(*missing)
 
 
+def test_bigraph_block_is_implicit_and_checked():
+    # the last block rights reach every left 1..left - block at cost 0
+    g = Bigraph(3, 3, ((1, 1, 5), (3, 3, 2), (2, 3, 4)), block=1)
+    assert len(g.edges) == 3
+    assert [g.cost(3, l) for l in (1, 2, 3)] == [0, 0, 2]
+    assert g.cost(1, 1) == 5 and g.cost(2, 3) == 4
+    assert g.weight(Matching({(1, 1), (3, 2), (2, 3)})) == 9
+    for missing in ((2, 1), (1, 2), (4, 1), (4, 3), (3, 0), (0, 1), (3, 4)):
+        with pytest.raises(KeyError):
+            g.cost(*missing)
+    # a block of min(left, right) is legal; with block == left it has no slot
+    assert Bigraph(3, 2, (), block=2).cost(2, 1) == 0
+    with pytest.raises(KeyError):
+        Bigraph(2, 3, (), block=2).cost(3, 1)
+    for block in (-1, 4):
+        with pytest.raises(ValueError, match="block"):
+            Bigraph(3, 3, (), block=block)
+    with pytest.raises(ValueError, match="block 3 outside 0..2"):
+        Bigraph(2, 3, (), block=3)
+    # one edge at most per slot: a stored edge may not fill a block slot
+    with pytest.raises(ValueError, match=r"edge \(3,1\) lies in the implicit block"):
+        Bigraph(3, 3, ((3, 1, 0),), block=1)
+    assert Bigraph(3, 3, ((3, 1, 0),)).cost(3, 1) == 0
+
+
 def test_held_diag_reports_stay_small():
     # a report's matching is one flat tuple of small ints, not one tuple per
     # edge in a frozenset: 100 held reports on n = 64 keep under 2 KiB each

@@ -21,8 +21,20 @@ from structsys import (
     stack,
     unit_row,
 )
+from structsys.combinat import extremal_weight_max_matching, matching_network
+from structsys.grank import cactus_bigraph, spare_row_cactus
 from structsys.oracle import field_rank, sample_field_realization
-from support import COUNTER_A, COUNTER_C, COUNTER_F, chain_pattern, eye, rand_pattern, rand_square
+from support import (
+    COUNTER_A,
+    COUNTER_C,
+    COUNTER_F,
+    bench_gen,
+    chain_pattern,
+    eye,
+    rand_pattern,
+    rand_square,
+    reference_cactus_bigraph,
+)
 
 SOC_A = Pattern(5, 5, {(2, 1), (3, 2), (4, 1), (4, 5)})
 SOC_B = Pattern(5, 1, {(1, 1)})
@@ -202,8 +214,6 @@ def test_grank_long_augmenting_chain():
 
 def test_cactus_shape_is_decoded_from_the_certificate_edges():
     # the weight decode gives what counting stem and covering edges gives
-    from structsys.grank import cactus_bigraph
-
     rnd = random.Random(13)
     for _ in range(300):
         n = rnd.randint(1, 8)
@@ -222,8 +232,6 @@ def test_spare_row_cactus_prices_every_unit_row():
     # the empty row leaves the size alone, and one residual search finds the
     # states whose unit row raises it, reachable or not, as one cactus solve
     # per state does
-    from structsys.grank import spare_row_cactus
-
     rnd = random.Random(14)
     raised_some = 0
     for trial in range(400):
@@ -241,3 +249,66 @@ def test_spare_row_cactus_prices_every_unit_row():
         assert base.raising_states(()) == frozenset()
         raised_some += bool(expected & base.reachable)
     assert raised_some >= 20
+
+
+def _reference_cactus(a: Pattern, c: Pattern) -> tuple[int, int, int]:
+    """(weight, size, stems) of a maximum-weight maximum matching of the
+    cactus bigraph with its p·n return edges listed one by one."""
+    g, q = reference_cactus_bigraph(a, c)
+    weight = g.weight(extremal_weight_max_matching(g, "maximize"))
+    size = -(-weight // (q + 1))
+    return weight, size, (q + 1) * size - weight
+
+
+def test_cactus_with_an_implicit_return_block_equals_the_listed_block():
+    # cactus_size, input_cactus_size and spare_row_cactus against the
+    # materialised block, on n = 0..9 with p = 0, p >= n/2 and all-zero rows
+    rnd = random.Random(15)
+    seen = {"p = 0": 0, "n = 0": 0, "p >= n/2": 0, "zero row": 0}
+    for trial in range(1200):
+        n = rnd.randint(0, 9) if trial % 10 else 0
+        a = rand_square(rnd, n, rnd.uniform(0.05, 0.5))
+        p = (0, rnd.randint(1, 3), rnd.randint((n + 1) // 2, n + 1))[trial % 3]
+        c = rand_pattern(rnd, p, n, rnd.uniform(0.05, 0.5))
+        if trial % 4 == 3:
+            c = c.zeroed(rows=rnd.sample(range(1, p + 1), p // 2))
+        seen["p = 0"] += p == 0
+        seen["n = 0"] += n == 0
+        seen["p >= n/2"] += 2 * p >= n > 0
+        seen["zero row"] += p > len({i for i, _ in c.nonzeros})
+
+        g, q = cactus_bigraph(a, c)
+        ref, ref_q = reference_cactus_bigraph(a, c)
+        assert (g.block, q, len(g.edges) + p * n) == (p, ref_q, len(ref.edges))
+        weight, size, stems = _reference_cactus(a, c)
+        rep = cactus_size(a, c)
+        assert (rep.size, rep.stems) == (size, stems)
+        # the certificate is a matching of the listed bigraph (cost raises
+        # KeyError on a pair that is not an edge of it), of the same weight
+        assert ref.weight(rep.certificate) == g.weight(rep.certificate) == weight
+        assert rep.certificate.size == n + p
+
+        m = rnd.randint(0, 3)
+        b = rand_pattern(rnd, n, m, rnd.uniform(0.05, 0.5))
+        assert input_cactus_size(a, b) == _reference_cactus(a.transpose(), b.transpose())[1]
+
+        spare = spare_row_cactus(a, c)
+        weight0, size0, _ = _reference_cactus(a, stack(c, Pattern(1, n)))
+        assert (spare.size, spare.weight, spare.q) == (size0, weight0, p + 1) and size0 == size
+        raising = frozenset(
+            i for i in range(1, n + 1) if _reference_cactus(a, stack(c, unit_row(n, i)))[1] > size
+        )
+        assert spare.raising_states(range(1, n + 1)) == raising
+    assert min(seen.values()) >= 100, seen
+
+
+def test_cactus_network_is_linear_in_the_return_block():
+    # n = 800, p = 80: the hub gives 6073 arcs, the listed block 69193
+    gen = bench_gen()
+    doc = gen.verdict_system(random.Random(0), 800)
+    n, p = doc["n"], doc["p"]
+    a = Pattern(n, n, frozenset(map(tuple, doc["A"])))
+    c = Pattern(p, n, frozenset(map(tuple, doc["C"])))
+    g, _ = cactus_bigraph(a, c)
+    assert p == 80 and g.block == p
+    assert len(matching_network(g, "maximize").arcs) < 7000

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from structsys import (
+    Linking,
     OracleConfig,
     Pattern,
     PreconditionError,
@@ -225,3 +228,38 @@ def test_certificate_is_a_valid_linking():
         arcs_seen["states"] += len(rep.certificate.states)
     assert min(arcs_seen.values()) > 50
     _check_linking(is_soc(SOC_A, SOC_B, SOC_C), SOC_A, SOC_B, SOC_C)
+
+
+def test_linking_stores_flat_layers_and_reads_back_pairs():
+    link = Linking(inputs=[(1, 2)], states=((3, 4), (5, 6)), outputs=[(2, 1), (4, 2)])
+    assert (link.input_flat, link.state_flat, link.output_flat) == ((1, 2), (3, 4, 5, 6), (2, 1, 4, 2))
+    assert link.inputs == ((1, 2),) and link.states == ((3, 4), (5, 6))
+    assert link.outputs == ((2, 1), (4, 2)) and link.size == 2
+    assert link == Linking([(1, 2)], [(3, 4), (5, 6)], [(2, 1), (4, 2)]) != Linking((), (), ())
+    assert hash(link) == hash(Linking([(1, 2)], [(3, 4), (5, 6)], [(2, 1), (4, 2)]))
+
+
+def test_held_soc_reports_stay_small():
+    # each linking layer is one flat tuple of small ints, not one tuple per
+    # arc: 100 held reports on n = 64 with 6 inputs and 6 outputs keep under
+    # 640 bytes each (one tuple per arc took about 1 KiB)
+    rnd = random.Random(3)
+
+    def rows(r: int, c: int, k: int) -> frozenset:
+        return frozenset((i, rnd.randint(1, c)) for i in range(1, r + 1) for _ in range(k))
+
+    systems = [
+        (Pattern(64, 64, rows(64, 64, 3)), Pattern(64, 6, rows(64, 6, 1)), Pattern(6, 64, rows(6, 64, 2)))
+        for _ in range(100)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [is_soc(*system) for system in systems]
+        gc.collect()
+        per_report = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+    finally:
+        tracemalloc.stop()
+    assert sum(h.linking for h in held) >= 500
+    assert per_report < 640, per_report
