@@ -383,7 +383,8 @@ def dot_system(sys_pat: SystemPattern) -> str:
     (the diagonalizability certificate) is drawn bold red."""
     functional = sys_pat.F.column_support()
     diag = is_generically_diagonalizable(sys_pat.A)
-    cert_edges = {(r, l) for r, l in diag.certificate.edges if (l, r) in sys_pat.A.nonzeros}
+    nonzeros = sys_pat.A.nonzeros
+    cert_edges = {(r, l) for r, l in diag.certificate.edges if (l, r) in nonzeros}
     lines = ["digraph system {", "  rankdir=LR;"]
     for i in range(1, sys_pat.n + 1):
         style = ' style=filled fillcolor=gray80' if i in functional else ""

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .diag import DiagReport
 
 
 class PreconditionError(ValueError):
@@ -19,42 +23,82 @@ class PreconditionError(ValueError):
 Entry = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pattern:
     """Zero/nonzero structure of a matrix.
 
-    ``nonzeros`` holds 1-based ``(row, col)`` positions of free parameters.
-    Zero-row and zero-column patterns are legal; so is the all-zero pattern.
+    ``Pattern(rows, cols, nonzeros)`` takes the 1-based ``(row, col)``
+    positions of the free parameters. They are stored as one flat tuple
+    ``flat`` = ``r1, c1, r2, c2, ...`` in ascending row-major order, so equal
+    patterns are equal tuples and a pattern holds no tuple per entry;
+    ``nonzeros`` builds the set of positions anew on each access. Zero-row
+    and zero-column patterns are legal; so is the all-zero pattern.
+
+    Two private slots, neither compared nor shown: ``_columns`` keeps
+    :meth:`column_support`, and ``_diag`` keeps the report of
+    :func:`structsys.diag.is_generically_diagonalizable` on this object.
     """
 
     rows: int
     cols: int
-    nonzeros: frozenset[Entry] = field(default_factory=frozenset)
-    _columns: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
+    flat: tuple[int, ...]
+    _columns: frozenset[int] | None = field(repr=False, compare=False)
+    _diag: DiagReport | None = field(repr=False, compare=False)
+
+    def __init__(self, rows: int, cols: int, nonzeros: Iterable[Entry] = ()) -> None:
+        pairs = sorted(frozenset(nonzeros))
+        flat = tuple(chain.from_iterable(pairs))
+        if len(flat) != 2 * len(pairs):
+            raise ValueError("pattern nonzeros must be (row, col) pairs")
+        self._store(rows, cols, flat)
+
+    @classmethod
+    def _from_flat(cls, rows: int, cols: int, flat: tuple[int, ...]) -> "Pattern":
+        """Pattern over a flat tuple that is already sorted and free of
+        duplicates, so no set and no sort is needed."""
+        pattern = object.__new__(cls)
+        pattern._store(rows, cols, flat)
+        return pattern
+
+    def _store(self, rows: int, cols: int, flat: tuple[int, ...]) -> None:
+        slots = (("rows", rows), ("cols", cols), ("flat", flat), ("_columns", None), ("_diag", None))
+        for name, value in slots:
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nonzeros", frozenset(self.nonzeros))
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"pattern dimensions must be non-negative, got {self.rows}x{self.cols}")
-        for i, j in self.nonzeros:
-            if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-                raise ValueError(f"nonzero ({i},{j}) outside a {self.rows}x{self.cols} pattern")
+        rows, cols, flat = self.rows, self.cols, self.flat
+        if rows < 0 or cols < 0:
+            raise ValueError(f"pattern dimensions must be non-negative, got {rows}x{cols}")
+        if flat and not (
+            1 <= min(flat[::2]) and max(flat[::2]) <= rows
+            and 1 <= min(flat[1::2]) and max(flat[1::2]) <= cols
+        ):
+            for i, j in _pairs(flat):
+                if not (1 <= i <= rows and 1 <= j <= cols):
+                    raise ValueError(f"nonzero ({i},{j}) outside a {rows}x{cols} pattern")
+
+    @property
+    def nonzeros(self) -> frozenset[Entry]:
+        """The ``(row, col)`` positions, as a new set on each access."""
+        return frozenset(_pairs(self.flat))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def sorted_nonzeros(self) -> list[Entry]:
-        return sorted(self.nonzeros)
+        return list(_pairs(self.flat))
 
     def transpose(self) -> "Pattern":
-        return Pattern(self.cols, self.rows, frozenset((j, i) for i, j in self.nonzeros))
+        flat = self.flat
+        return Pattern._from_flat(self.cols, self.rows, _flatten(sorted(zip(flat[1::2], flat[::2]))))
 
     def column_support(self) -> frozenset[int]:
         """Indices of columns holding at least one free entry, computed once
         per pattern, so reports on the same pattern share one set."""
         if self._columns is None:
-            object.__setattr__(self, "_columns", frozenset(j for _, j in self.nonzeros))
+            object.__setattr__(self, "_columns", frozenset(self.flat[1::2]))
         return self._columns
 
     def induced(self, states: Iterable[int]) -> "Pattern":
@@ -66,19 +110,25 @@ class Pattern:
             if not 1 <= s <= self.rows:
                 raise ValueError(f"state index {s} out of range 1..{self.rows}")
         pos = {s: k + 1 for k, s in enumerate(keep)}
-        sub = frozenset(
-            (pos[i], pos[j]) for i, j in self.nonzeros if i in pos and j in pos
+        # the renumbering keeps order, so the filtered entries stay sorted
+        sub = _flatten(
+            (pos[i], pos[j]) for i, j in _pairs(self.flat) if i in pos and j in pos
         )
-        return Pattern(len(keep), len(keep), sub)
+        return Pattern._from_flat(len(keep), len(keep), sub)
 
     def zeroed(self, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> "Pattern":
         """Copy with all entries in the given rows and columns removed."""
         rkill, ckill = set(rows), set(cols)
-        return Pattern(
-            self.rows,
-            self.cols,
-            frozenset((i, j) for i, j in self.nonzeros if i not in rkill and j not in ckill),
-        )
+        kept = _flatten((i, j) for i, j in _pairs(self.flat) if i not in rkill and j not in ckill)
+        return Pattern._from_flat(self.rows, self.cols, kept)
+
+
+def _pairs(flat: tuple[int, ...]) -> Iterator[Entry]:
+    return zip(flat[::2], flat[1::2])
+
+
+def _flatten(pairs: Iterable[Entry]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(pairs))
 
 
 _NO_ELEMENTS: frozenset = frozenset()
@@ -102,16 +152,19 @@ def stack(top: Pattern, bottom: Pattern) -> Pattern:
     """Vertical composite: ``bottom`` appended below ``top``."""
     if top.cols != bottom.cols:
         raise ValueError(f"cannot stack {top.cols}-column over {bottom.cols}-column pattern")
-    shifted = frozenset((i + top.rows, j) for i, j in bottom.nonzeros)
-    return Pattern(top.rows + bottom.rows, top.cols, top.nonzeros | shifted)
+    # every bottom row follows every top row, so the joined tuple stays sorted
+    shifted = list(bottom.flat)
+    shifted[::2] = [i + top.rows for i in bottom.flat[::2]]
+    return Pattern._from_flat(top.rows + bottom.rows, top.cols, top.flat + tuple(shifted))
 
 
 def hstack(left: Pattern, right: Pattern) -> Pattern:
     """Horizontal composite: ``right`` appended after ``left``."""
     if left.rows != right.rows:
         raise ValueError(f"cannot place {right.rows}-row beside {left.rows}-row pattern")
-    shifted = frozenset((i, j + left.cols) for i, j in right.nonzeros)
-    return Pattern(left.rows, left.cols + right.cols, left.nonzeros | shifted)
+    shifted = zip(right.flat[::2], [j + left.cols for j in right.flat[1::2]])
+    pairs = sorted(chain(_pairs(left.flat), shifted))
+    return Pattern._from_flat(left.rows, left.cols + right.cols, _flatten(pairs))
 
 
 def unit_row(n: int, i: int) -> Pattern:

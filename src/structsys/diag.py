@@ -26,7 +26,8 @@ def loop_augmented_bigraph(A: Pattern) -> Bigraph:
     """
     n = check_shapes(A)
     edges = [(j, i, 0) for i, j in A.sorted_nonzeros()]
-    edges += [(i, i, 1) for i in range(1, n + 1) if (i, i) not in A.nonzeros]
+    nonzeros = A.nonzeros
+    edges += [(i, i, 1) for i in range(1, n + 1) if (i, i) not in nonzeros]
     return Bigraph(n, n, tuple(edges))
 
 
@@ -52,20 +53,27 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
     The verdict holds exactly when the generic rank equals the cycle-cover
     maximum, equivalently when the minimum weight of a maximum matching of
     the loop-augmented bigraph equals n minus the generic rank.
+
+    The report is kept on ``A`` itself, so every later call on the same
+    pattern object returns it without solving again; an equal but distinct
+    pattern pays for its own solve.
     """
     n = check_shapes(A)
-    g = loop_augmented_bigraph(A)
-    cert = extremal_weight_max_matching(g, "minimize")
-    weight = g.weight(cert)
-    v = n - weight
-    gr = grank(A)
-    return DiagReport(
-        verdict=gr == v,
-        grank_A=gr,
-        v_A=v,
-        mwmm_weight=weight,
-        certificate=cert,
-    )
+    if A._diag is None:
+        g = loop_augmented_bigraph(A)
+        cert = extremal_weight_max_matching(g, "minimize")
+        weight = g.weight(cert)
+        v = n - weight
+        gr = grank(A)
+        report = DiagReport(
+            verdict=gr == v,
+            grank_A=gr,
+            v_A=v,
+            mwmm_weight=weight,
+            certificate=cert,
+        )
+        object.__setattr__(A, "_diag", report)
+    return A._diag
 
 
 def cycle_cover_max(A: Pattern) -> int:
@@ -85,8 +93,9 @@ def certificate_components(
     vertices are omitted.
     """
     succ: dict[int, int] = {}
+    nonzeros = A.nonzeros
     for r, l in certificate.edges:
-        if r == l and (r, r) not in A.nonzeros:
+        if r == l and (r, r) not in nonzeros:
             continue  # synthetic loop
         succ[r] = l
     preds = set(succ.values())

@@ -354,6 +354,7 @@ def _brute_cycle_cover(A: Pattern) -> tuple[int, tuple[tuple[int, ...], ...]]:
     n = A.rows
     states = list(range(1, n + 1))
     best, best_perm = 0, {}
+    nonzeros = A.nonzeros
     for size in range(n, 0, -1):
         if size <= best:
             break
@@ -361,7 +362,7 @@ def _brute_cycle_cover(A: Pattern) -> tuple[int, tuple[tuple[int, ...], ...]]:
             for perm in itertools.permutations(subset):
                 # cycle cover of the subset: edge x_j -> x_perm[j] for each j
                 if all(
-                    (perm[k], subset[k]) in A.nonzeros for k in range(size)
+                    (perm[k], subset[k]) in nonzeros for k in range(size)
                 ):
                     best, best_perm = size, dict(zip(subset, perm))
                     break

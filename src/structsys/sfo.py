@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import Pattern, PreconditionError, check_shapes, shares_empty_sets, stack, unit_row
+from .core import Pattern, PreconditionError, check_shapes, shares_empty_sets, stack
 from .diag import is_generically_diagonalizable
-from .grank import cactus_size, grank, output_reachable_states, spare_row_cactus
+from .grank import (
+    cactus_size,
+    grank,
+    output_reachable_states,
+    rank_raising_columns,
+    spare_row_cactus,
+)
 
 Condition = Literal["b", "c", "d"]
 
@@ -91,8 +97,7 @@ def in_minimal_dilation(A: Pattern, C: Pattern, i: int) -> bool:
     n = check_shapes(A, C=C)
     if not 1 <= i <= n:
         raise ValueError(f"state index {i} out of range 1..{n}")
-    base = stack(A, C)
-    return grank(stack(base, unit_row(A.cols, i))) > grank(base)
+    return i in rank_raising_columns(stack(A, C))[1]
 
 
 def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> SfoReport:
@@ -102,6 +107,8 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
     [A; C] and [A; C; F], "c" runs the rank test per functional state, and
     "d" tests minimal-dilation membership per functional state. All three
     agree with each other and with :func:`is_sfo` on diagonalizable inputs.
+    One matching of [A; C] and one alternating search answer the per-state
+    test for every state (:func:`structsys.grank.rank_raising_columns`).
     """
     check_shapes(A, C=C, F=F)
     if condition not in ("b", "c", "d"):
@@ -114,7 +121,7 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
     method = {"b": "diag-rank", "c": "diag-per-state", "d": "diag-dilation"}[condition]
     x_f = functional_states(F)
     base = stack(A, C)
-    gr_ac = grank(base)
+    gr_ac, raising = rank_raising_columns(base)
     gr_acf = grank(stack(base, F))
     if not x_f:
         return SfoReport(True, method, x_f, frozenset(), gr_ac, gr_acf, frozenset())
@@ -125,9 +132,7 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
     # (see in_minimal_dilation) and b's diagnosis when its verdict is false
     failing: frozenset[int] = frozenset()
     if condition != "b" or not rank_holds:
-        failing = frozenset(
-            i for i in x_f if grank(stack(base, unit_row(A.cols, i))) > gr_ac
-        )
+        failing = x_f & raising
     verdict = rank_holds if condition == "b" else not unreachable and not failing
     return SfoReport(verdict, method, x_f, unreachable, gr_ac, gr_acf, failing)
 

@@ -37,7 +37,7 @@ def input_reachable_states(A: Pattern, B: Pattern) -> frozenset[int]:
     """States with a directed path from some input: the descendants of the
     states that some input drives."""
     check_shapes(A, B)
-    return reachable(A, {i for i, _ in B.nonzeros}, "forward")
+    return reachable(A, B.flat[::2], "forward")
 
 
 def input_reachable_restriction(A: Pattern, B: Pattern) -> tuple[frozenset[int], Pattern]:

@@ -8,15 +8,19 @@ import random
 import sys
 from pathlib import Path
 
+from typing import Iterable
+
 from structsys import (
     Bigraph,
     Flow,
     FlowNetwork,
     Pattern,
+    PreconditionError,
     SensorPlacement,
     SfoReport,
     cactus_size,
     functional_states,
+    grank,
     identity_pattern,
     is_generically_diagonalizable,
     stack,
@@ -285,3 +289,87 @@ def bench_gen():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# ---------------------------------------------------------------------------
+# reference pattern algebra: the earlier operations on a frozenset of
+# (row, col) entries, which the flat-tuple ones must match
+
+
+def reference_sorted_nonzeros(P: Pattern) -> list[tuple[int, int]]:
+    return sorted(P.nonzeros)
+
+
+def reference_column_support(P: Pattern) -> frozenset[int]:
+    return frozenset(j for _, j in P.nonzeros)
+
+
+def reference_transpose(P: Pattern) -> Pattern:
+    return Pattern(P.cols, P.rows, frozenset((j, i) for i, j in P.nonzeros))
+
+
+def reference_induced(P: Pattern, states: Iterable[int]) -> Pattern:
+    if not P.is_square:
+        raise ValueError("induced subpattern requires a square pattern")
+    keep = sorted(set(states))
+    for s in keep:
+        if not 1 <= s <= P.rows:
+            raise ValueError(f"state index {s} out of range 1..{P.rows}")
+    pos = {s: k + 1 for k, s in enumerate(keep)}
+    sub = frozenset((pos[i], pos[j]) for i, j in P.nonzeros if i in pos and j in pos)
+    return Pattern(len(keep), len(keep), sub)
+
+
+def reference_zeroed(P: Pattern, rows: Iterable[int] = (), cols: Iterable[int] = ()) -> Pattern:
+    rkill, ckill = set(rows), set(cols)
+    return Pattern(
+        P.rows,
+        P.cols,
+        frozenset((i, j) for i, j in P.nonzeros if i not in rkill and j not in ckill),
+    )
+
+
+def reference_stack(top: Pattern, bottom: Pattern) -> Pattern:
+    if top.cols != bottom.cols:
+        raise ValueError(f"cannot stack {top.cols}-column over {bottom.cols}-column pattern")
+    shifted = frozenset((i + top.rows, j) for i, j in bottom.nonzeros)
+    return Pattern(top.rows + bottom.rows, top.cols, top.nonzeros | shifted)
+
+
+def reference_hstack(left: Pattern, right: Pattern) -> Pattern:
+    if left.rows != right.rows:
+        raise ValueError(f"cannot place {right.rows}-row beside {left.rows}-row pattern")
+    shifted = frozenset((i, j + left.cols) for i, j in right.nonzeros)
+    return Pattern(left.rows, left.cols + right.cols, left.nonzeros | shifted)
+
+
+# ---------------------------------------------------------------------------
+# reference per-state rank test: the earlier is_sfo_diag and
+# in_minimal_dilation, which compute one grank of [A; C; e_i] per state
+
+
+def reference_in_minimal_dilation(A: Pattern, C: Pattern, i: int) -> bool:
+    base = stack(A, C)
+    return grank(stack(base, unit_row(A.cols, i))) > grank(base)
+
+
+def reference_is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: str) -> SfoReport:
+    if not is_generically_diagonalizable(A).verdict:
+        raise PreconditionError("state pattern is not generically diagonalizable")
+    method = {"b": "diag-rank", "c": "diag-per-state", "d": "diag-dilation"}[condition]
+    x_f = functional_states(F)
+    base = stack(A, C)
+    gr_ac = grank(base)
+    gr_acf = grank(stack(base, F))
+    if not x_f:
+        return SfoReport(True, method, x_f, frozenset(), gr_ac, gr_acf, frozenset())
+    w = output_reachable_states(A, C)
+    unreachable = x_f - w
+    rank_holds = not unreachable and gr_ac == gr_acf
+    failing: frozenset[int] = frozenset()
+    if condition != "b" or not rank_holds:
+        failing = frozenset(
+            i for i in x_f if grank(stack(base, unit_row(A.cols, i))) > gr_ac
+        )
+    verdict = rank_holds if condition == "b" else not unreachable and not failing
+    return SfoReport(verdict, method, x_f, unreachable, gr_ac, gr_acf, failing)

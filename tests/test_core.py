@@ -9,6 +9,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from structsys import (
     Bigraph,
@@ -22,7 +24,18 @@ from structsys import (
     stack,
     unit_row,
 )
-from support import COUNTER_A, COUNTER_C, rand_pattern
+from support import (
+    COUNTER_A,
+    COUNTER_C,
+    rand_pattern,
+    reference_column_support,
+    reference_hstack,
+    reference_induced,
+    reference_sorted_nonzeros,
+    reference_stack,
+    reference_transpose,
+    reference_zeroed,
+)
 
 
 def test_stack_shifts_bottom_rows():
@@ -228,3 +241,78 @@ def test_held_diag_reports_stay_small():
     finally:
         tracemalloc.stop()
     assert per_report < 2048, per_report
+
+
+# ---------------------------------------------------------------------------
+# the flat-tuple pattern algebra against the earlier frozenset one
+
+
+@st.composite
+def patterns(draw, rows: int | None = None, cols: int | None = None) -> Pattern:
+    """A pattern of at most 6 x 6, zero dimensions included."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    chosen = draw(st.sets(st.sampled_from(cells))) if cells else set()
+    return Pattern(rows, cols, chosen)
+
+
+indices = st.lists(st.integers(0, 7), max_size=8)
+
+
+@given(patterns(), st.randoms(use_true_random=False))
+def test_pattern_is_a_value_over_its_entries(P, rnd):
+    entries = list(P.nonzeros)
+    rnd.shuffle(entries)
+    again = Pattern(P.rows, P.cols, entries + entries[:2])
+    assert again == P == Pattern(P.rows, P.cols, P.nonzeros)
+    assert hash(again) == hash(P) and repr(again) == repr(P)
+    assert len(P.flat) == 2 * len(P.nonzeros)
+    assert P.sorted_nonzeros() == reference_sorted_nonzeros(P)
+    assert P.column_support() == reference_column_support(P)
+    assert P.transpose() == reference_transpose(P)
+    assert P.transpose().transpose() == P
+
+
+@given(st.data())
+def test_stack_and_hstack_match_the_set_versions(data):
+    top = data.draw(patterns())
+    bottom = data.draw(patterns(cols=top.cols))
+    assert stack(top, bottom) == reference_stack(top, bottom)
+    beside = data.draw(patterns(rows=top.rows))
+    assert hstack(top, beside) == reference_hstack(top, beside)
+    other = data.draw(patterns())
+    for ours, reference, fits in (
+        (stack, reference_stack, other.cols == top.cols),
+        (hstack, reference_hstack, other.rows == top.rows),
+    ):
+        if fits:
+            assert ours(top, other) == reference(top, other)
+            continue
+        with pytest.raises(ValueError) as expected:
+            reference(top, other)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            ours(top, other)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: patterns(n, n)), indices, indices, indices)
+def test_induced_and_zeroed_match_the_set_versions(P, states, rows, cols):
+    assert P.zeroed(rows, cols) == reference_zeroed(P, rows, cols)
+    try:
+        expected = reference_induced(P, states)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            P.induced(states)
+    else:
+        assert P.induced(states) == expected
+
+
+@given(patterns(), st.integers(-2, 8), st.integers(-2, 8))
+def test_out_of_range_entries_keep_their_wording(P, i, j):
+    if 1 <= i <= P.rows and 1 <= j <= P.cols:
+        return
+    with pytest.raises(ValueError, match=re.escape(f"nonzero ({i},{j}) outside a {P.rows}x{P.cols} pattern")):
+        Pattern(P.rows, P.cols, P.nonzeros | {(i, j)})
+    rows = min(i, -1)
+    with pytest.raises(ValueError, match=re.escape(f"pattern dimensions must be non-negative, got {rows}x{P.cols}")):
+        Pattern(rows, P.cols, P.nonzeros)

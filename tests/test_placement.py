@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -12,9 +15,11 @@ from structsys import (
     PreconditionError,
     brute_force,
     dedicated_rows,
+    functional_states,
     grank,
     is_generically_diagonalizable,
     is_sfo,
+    is_sfo_diag,
     is_soc,
     linking_size,
     min_actuators_diag,
@@ -275,11 +280,13 @@ def test_alg2_makes_two_flow_solves_fewer_than_the_cactus_gap_loop(monkeypatch):
     cases = [(GEN_A, GEN_F), (COUNTER_A, COUNTER_F), (ALG1_A, ALG1_F)]
     cases += [(rand_square(rnd, n), rand_nonempty_rows(rnd, 2, n)) for n in (3, 5, 8)]
     for a, f in cases:
+        # each side gets its own equal copy of A, so each pays the one
+        # diagonalizability solve that a pattern object keeps
         solves.clear()
-        ours = min_sensors_iterative(a, f)
+        ours = min_sensors_iterative(Pattern(a.rows, a.cols, a.nonzeros), f)
         made = len(solves)
         solves.clear()
-        assert ours == reference_min_sensors_iterative(a, f)
+        assert ours == reference_min_sensors_iterative(Pattern(a.rows, a.cols, a.nonzeros), f)
         assert made == len(solves) - 2, (a, f)
 
 
@@ -424,3 +431,69 @@ def test_placements_deterministic():
         assert min_sensors_matching(a, f) == min_sensors_matching(a, f)
     a = ACT_A
     assert min_actuators_diag(a, ACT_C) == min_actuators_diag(a, ACT_C)
+
+
+def diagonalizable_system(rnd: random.Random, n: int) -> tuple[Pattern, Pattern, Pattern]:
+    """(A, C, F) with A generically diagonalizable by construction: a random
+    permutation of a 70 % state subset S covers S by cycles, every column
+    outside S is zero, and n more entries have their column in S. C has n/10
+    rows, each on its own state plus one draw; F has n/8 rows of 2 draws."""
+    s = sorted(rnd.sample(range(1, n + 1), round(0.7 * n)))
+    image = s[:]
+    rnd.shuffle(image)
+    a = {(image[k], j) for k, j in enumerate(s)}
+    a |= {(rnd.randint(1, n), rnd.choice(s)) for _ in range(n)}
+    p, r = max(1, n // 10), max(1, n // 8)
+    own = rnd.sample(range(1, n + 1), p)
+    c = {(i, own[i - 1]) for i in range(1, p + 1)} | {(i, rnd.randint(1, n)) for i in range(1, p + 1)}
+    f = {(i, rnd.randint(1, n)) for i in range(1, r + 1) for _ in range(2)}
+    return Pattern(n, n, a), Pattern(p, n, c), Pattern(r, n, f)
+
+
+def test_placement_calls_on_one_pattern_share_one_diagonalizability_solve(monkeypatch):
+    diag = sys.modules["structsys.diag"]
+    real = diag.loop_augmented_bigraph
+    built: list[Pattern] = []
+
+    def counting(A: Pattern):
+        built.append(A)
+        return real(A)
+
+    monkeypatch.setattr(diag, "loop_augmented_bigraph", counting)
+    A, C, F = diagonalizable_system(random.Random(11), 40)
+    assert len(functional_states(F)) < A.rows  # so alg2 and alg3 ask for the verdict
+    min_sensors_diag(A, F)
+    min_sensors_diag(A, F, minimize_links=True)
+    min_sensors_iterative(A, F)
+    min_sensors_matching(A, F)
+    min_actuators_diag(A, C)
+    is_sfo_diag(A, C, F, "c")
+    is_sfo_diag(A, C, F, "d")
+    assert built == [A]
+    report = is_generically_diagonalizable(A)
+    assert is_generically_diagonalizable(A) is report and len(built) == 1
+    twin = Pattern(A.rows, A.cols, A.nonzeros)
+    assert is_generically_diagonalizable(twin) == report and report.verdict
+    assert len(built) == 2 and built[1] is twin
+
+
+def test_held_alg2_placements_stay_small():
+    # C_out is p_star copies of one row held as one flat tuple, not one tuple
+    # per entry in a frozenset: 100 held alg2 results on n = 64, with the
+    # diagonalizability report each keeps on its A, stay under 5 KiB each
+    # (a frozenset of entries took about 7.2 KiB)
+    rnd = random.Random(7)
+    systems = [diagonalizable_system(rnd, 64) for _ in range(100)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [min_sensors_iterative(A, F) for A, _, F in systems]
+        gc.collect()
+        per_report = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(h.C_out.flat) // 2 for h in held) / len(held)
+    assert 50 <= entries <= 75, entries
+    assert all(A._diag is not None for A, _, _ in systems)
+    assert per_report < 5 * 1024, per_report

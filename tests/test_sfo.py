@@ -14,6 +14,7 @@ from structsys import (
     cactus_size,
     functional_states,
     in_minimal_dilation,
+    is_generically_diagonalizable,
     is_sfo,
     is_sfo_diag,
     is_soc,
@@ -33,7 +34,9 @@ from support import (
     rand_gen_diag,
     rand_pattern,
     rand_square,
+    reference_in_minimal_dilation,
     reference_is_sfo,
+    reference_is_sfo_diag,
 )
 
 
@@ -340,3 +343,52 @@ def test_is_sfo_makes_two_flow_solves(monkeypatch):
     solves.clear()
     assert not is_sfo(COUNTER_A, COUNTER_C, COUNTER_F).verdict
     assert len(solves) == 2
+
+
+def assert_diag_criteria_match_the_per_state_reference(A: Pattern, C: Pattern, F: Pattern) -> None:
+    for cond in ("b", "c", "d"):
+        assert is_sfo_diag(A, C, F, cond) == reference_is_sfo_diag(A, C, F, cond), (A, C, F, cond)
+    for i in range(1, A.rows + 1):
+        assert in_minimal_dilation(A, C, i) == reference_in_minimal_dilation(A, C, i), (A, C, i)
+
+
+def test_diag_criteria_equal_the_per_state_reference_on_fixtures():
+    from structsys.cli import load_system
+
+    checked = 0
+    for name in FIXTURE_NAMES:
+        sys_pat = load_system(fixture_path(name))
+        if is_generically_diagonalizable(sys_pat.A).verdict:
+            assert_diag_criteria_match_the_per_state_reference(sys_pat.A, sys_pat.C, sys_pat.F)
+            checked += 1
+    assert checked >= 3
+
+
+def test_diag_criteria_equal_the_per_state_reference_on_the_acceptance_draws():
+    # the draws of acceptance criterion 5 (its seed and generators)
+    rnd = random.Random(888)
+    for _ in range(300):
+        n = rnd.randint(2, 8)
+        a = rand_gen_diag(rnd, n)
+        c = rand_pattern(rnd, rnd.randint(1, 3), n, rnd.uniform(0.2, 0.6))
+        f = rand_pattern(rnd, rnd.randint(1, 2), n, rnd.uniform(0.2, 0.5))
+        assert_diag_criteria_match_the_per_state_reference(a, c, f)
+
+
+def test_diag_criteria_equal_the_per_state_reference_on_random_instances():
+    # one matching and one alternating search must report what one grank
+    # per functional state did, on 500 diagonalizable instances of up to 24
+    # states, with no outputs, sparse and dense outputs, and wide F
+    rnd = random.Random(97)
+    failing = unreachable = 0
+    for trial in range(500):
+        n = rnd.randint(1, 24)
+        A = rand_gen_diag(rnd, n)
+        p = (0, rnd.randint(1, 3), rnd.randint(n // 2, n))[trial % 3]
+        C = rand_pattern(rnd, p, n, rnd.uniform(0.02, 0.3))
+        F = rand_pattern(rnd, rnd.randint(1, 4), n, rnd.uniform(0.05, 0.4))
+        assert_diag_criteria_match_the_per_state_reference(A, C, F)
+        rep = is_sfo_diag(A, C, F, "c")
+        failing += bool(rep.failing_states)
+        unreachable += bool(rep.unreachable_functional_states)
+    assert failing >= 40 and unreachable >= 100, (failing, unreachable)
