@@ -217,11 +217,8 @@ def max_matching(g: Bigraph) -> Matching:
     an augmenting-path search, a depth-first search on an explicit stack
     that scans adjacency in ascending left order. Right vertices are taken
     in ascending order and the tie-breaking is fixed; no recursion is used,
-    so path length is bounded only by memory. A bigraph with an implicit
-    block raises ``ValueError``: its block edges are not in ``g.edges``.
+    so path length is bounded only by memory.
     """
-    if g.block:
-        raise ValueError("max_matching takes no implicit block")
     adj: list[list[int]] = [[] for _ in range(g.right + 1)]
     for r, l, _ in g.edges:
         adj[r].append(l)
@@ -274,14 +271,6 @@ def matching_network(g: Bigraph, sense: Literal["minimize", "maximize"]) -> Flow
     ``maximize`` W + 1 - c with W the sum of all costs, which keeps arc
     costs non-negative; the max-flow phase pins the cardinality, so cost
     only discriminates among maximum matchings.
-
-    A block of g is one hub node after the sink, which leaves every other
-    node number as it is: an arc from each block right vertex to the hub,
-    in right order, costing what a block edge costs, then an arc from the
-    hub to each block left vertex, in left order, at cost 0. A complete
-    block of equal costs and this star carry the same flows (Ahuja,
-    Magnanti & Orlin, *Network Flows*, 1993), with b + (left - b) arcs in
-    place of b (left - b).
     """
     if sense not in ("minimize", "maximize"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -292,27 +281,15 @@ def matching_network(g: Bigraph, sense: Literal["minimize", "maximize"]) -> Flow
         (r, g.right + l, 1, c if sense == "minimize" else total + 1 - c) for r, l, c in g.edges
     ]
     arcs += [(g.right + l, sink, 1, 0) for l in range(1, g.left + 1)]
-    if not g.block:
-        return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
-    hub, block_cost = sink + 1, 0 if sense == "minimize" else total + 1
-    arcs += [(r, hub, 1, block_cost) for r in range(g.right - g.block + 1, g.right + 1)]
-    arcs += [(hub, g.right + l, 1, 0) for l in range(1, g.left - g.block + 1)]
-    return FlowNetwork(hub + 1, tuple(arcs), 0, sink)
+    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
 
 
 def flow_matching(g: Bigraph, flow: Flow) -> Matching:
     """The matching a flow of :func:`matching_network` carries: the edges
-    whose arcs hold flow, and the block rights whose hub arcs hold flow
-    paired in ascending order with the block lefts whose hub arcs do."""
+    whose arcs hold flow."""
     mates = [0] * (g.right + 1)
     for (r, l, _), f in zip(g.edges, flow.arc_flow[g.right :]):
         if f:
-            mates[r] = l
-    if g.block:
-        k = g.right + len(g.edges) + g.left
-        into, out = flow.arc_flow[k : k + g.block], flow.arc_flow[k + g.block :]
-        rights = [g.right - g.block + 1 + j for j, f in enumerate(into) if f]
-        for r, l in zip(rights, [1 + i for i, f in enumerate(out) if f]):
             mates[r] = l
     return Matching.from_mates(mates)
 
@@ -323,7 +300,7 @@ def extremal_weight_max_matching(
     """Maximum-cardinality matching of minimum or maximum total cost, from a
     minimum-cost maximum flow of :func:`matching_network`."""
     net = matching_network(g, sense)
-    return flow_matching(g, min_cost_max_flow(net)) if g.edges or g.block else Matching(())
+    return flow_matching(g, min_cost_max_flow(net)) if g.edges else Matching(())
 
 
 def _successors(A: Pattern, reverse: bool = False) -> list[list[int]]:

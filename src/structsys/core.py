@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from operator import index
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -28,9 +29,11 @@ class Pattern:
     """Zero/nonzero structure of a matrix.
 
     ``Pattern(rows, cols, nonzeros)`` takes the 1-based ``(row, col)``
-    positions of the free parameters. They are stored as one flat tuple
-    ``flat`` = ``r1, c1, r2, c2, ...`` in ascending row-major order, so equal
-    patterns are equal tuples and a pattern holds no tuple per entry;
+    positions of the free parameters. Dimensions and indices go through
+    ``operator.index``, so numpy integers are stored as ``int`` and a float
+    or a string raises ``ValueError``. The positions are stored as one flat
+    tuple ``flat`` = ``r1, c1, r2, c2, ...`` in ascending row-major order, so
+    equal patterns are equal tuples and a pattern holds no tuple per entry;
     ``nonzeros`` builds the set of positions anew on each access. Zero-row
     and zero-column patterns are legal; so is the all-zero pattern.
 
@@ -46,11 +49,14 @@ class Pattern:
     _diag: DiagReport | None = field(repr=False, compare=False)
 
     def __init__(self, rows: int, cols: int, nonzeros: Iterable[Entry] = ()) -> None:
-        pairs = sorted(frozenset(nonzeros))
-        flat = tuple(chain.from_iterable(pairs))
-        if len(flat) != 2 * len(pairs):
-            raise ValueError("pattern nonzeros must be (row, col) pairs")
-        self._store(rows, cols, flat)
+        try:
+            rows, cols = index(rows), index(cols)
+        except TypeError:
+            raise ValueError(f"pattern dimensions must be integers, got {rows!r}x{cols!r}") from None
+        pairs = frozenset(nonzeros)
+        if not _int_pairs(pairs):
+            pairs = frozenset(map(_index_pair, pairs))
+        self._store(rows, cols, _flatten(sorted(pairs)))
 
     @classmethod
     def _from_flat(cls, rows: int, cols: int, flat: tuple[int, ...]) -> "Pattern":
@@ -121,6 +127,24 @@ class Pattern:
         rkill, ckill = set(rows), set(cols)
         kept = _flatten((i, j) for i, j in _pairs(self.flat) if i not in rkill and j not in ckill)
         return Pattern._from_flat(self.rows, self.cols, kept)
+
+
+def _int_pairs(pairs: frozenset) -> bool:
+    """Whether every entry is a pair of plain ints. Only C-level maps run, so
+    the common case makes no Python call per entry."""
+    try:
+        return set(map(len, pairs)) <= {2} and set(map(type, chain.from_iterable(pairs))) <= {int}
+    except TypeError:  # an entry without a length
+        return False
+
+
+def _index_pair(entry: Entry) -> Entry:
+    """A nonzero position as two plain ints."""
+    try:
+        i, j = entry
+        return index(i), index(j)
+    except (TypeError, ValueError):
+        raise ValueError(f"pattern nonzero {entry!r} is not a (row, col) pair of integers") from None
 
 
 def _pairs(flat: tuple[int, ...]) -> Iterator[Entry]:
@@ -245,23 +269,16 @@ class Bigraph:
     """Bipartite graph with non-negative integer edge costs.
 
     Edges are oriented right part to left part and stored canonically sorted,
-    one edge at most per (right, left) slot. Each of the last ``block`` right
-    vertices is also joined at cost 0 to every left vertex 1..left - block.
-    That complete block is implicit: none of its edges is stored, and no
-    stored edge may fill one of its slots.
+    one edge at most per (right, left) slot.
     """
 
     left: int
     right: int
     edges: tuple[tuple[int, int, int], ...]  # (right, left, cost)
-    block: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.block <= min(self.left, self.right):
-            raise ValueError(f"block {self.block} outside 0..{min(self.left, self.right)}")
         canon = tuple(sorted(self.edges))
         object.__setattr__(self, "edges", canon)
-        block_r, block_l = self.right - self.block, self.left - self.block
         last_r = last_l = 0
         for r, l, c in canon:
             if not (1 <= r <= self.right and 1 <= l <= self.left):
@@ -270,15 +287,10 @@ class Bigraph:
                 raise ValueError(f"edge ({r},{l}) has negative cost {c}")
             if r == last_r and l == last_l:  # sorted, so a duplicate follows its twin
                 raise ValueError(f"duplicate edge ({r},{l})")
-            if r > block_r and l <= block_l:
-                raise ValueError(f"edge ({r},{l}) lies in the implicit block")
             last_r, last_l = r, l
 
     def cost(self, r: int, l: int) -> int:
-        """Cost of edge (r, l): 0 in the block, else by binary search on the
-        sorted edges."""
-        if self.right - self.block < r <= self.right and 1 <= l <= self.left - self.block:
-            return 0
+        """Cost of edge (r, l), by binary search on the sorted edges."""
         edges = self.edges
         k = bisect_left(edges, (r, l))
         if k < len(edges) and edges[k][0] == r and edges[k][1] == l:

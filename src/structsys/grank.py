@@ -77,7 +77,8 @@ class CactusReport:
 
     ``size`` counts the output-reachable state vertices covered by disjoint
     stems and cycles; ``stems`` counts the stems used; ``certificate`` is the
-    perfect matching of the auxiliary bigraph that realizes the configuration.
+    matching of the auxiliary bigraph that realizes the configuration, one
+    edge per state.
     """
 
     size: int
@@ -96,15 +97,15 @@ def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
     """Auxiliary weighted bigraph whose maximum-weight maximum matching
     encodes a maximum cactus configuration.
 
-    Vertices 1..n are states and n+1..n+p outputs, mirrored on both parts.
-    With q the number of outputs, state edges whose head is output-reachable
-    cost q+1, output edges cost q, and the loops plus the dense output-to-
-    state return edges cost 0. A configuration covering d states with s
-    stems then weighs (q+1)d - s, and s never exceeds q, so the matching
-    weight ranks configurations by covered states first and by fewer stems
-    second. The return edges, which close stems into matching cycles, are
-    the bigraph's implicit block of p outputs by n states, so none of those
-    p·n edges is listed.
+    The right vertices 1..n are the states; the left vertices are the
+    states 1..n and then the outputs n+1..n+p. With q the number of
+    outputs, state edges whose head is output-reachable cost q+1, output
+    edges cost q, and a loop on each state without a diagonal entry costs
+    0, so every maximum matching covers all n states. Each state is then
+    matched to its successor in a cycle or stem, to an output where a stem
+    ends, or to its own loop. A configuration covering d states with s
+    stems weighs (q+1)d - s, and s never exceeds q, so the matching weight
+    ranks configurations by covered states first and by fewer stems second.
     """
     n, p = check_shapes(A, C=C), C.rows
     q = p
@@ -115,10 +116,10 @@ def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
     for i, j in C.sorted_nonzeros():  # C[i,j] != 0 <=> output edge x_j -> y_i
         edges.append((j, n + i, q))
     present = {(r, l) for r, l, _ in edges}
-    for v in range(1, n + p + 1):
+    for v in range(1, n + 1):
         if (v, v) not in present:
             edges.append((v, v, 0))
-    return Bigraph(n + p, n + p, tuple(edges), block=p), q
+    return Bigraph(n + p, n, tuple(edges)), q
 
 
 def _cactus_shape(weight: int, q: int) -> tuple[int, int]:
@@ -141,11 +142,12 @@ class SpareRowCactus:
     """A maximum cactus of (A, [C; 0]), solved once so that putting any unit
     row e_i in place of the empty row y' is priced by one search.
 
-    The empty row is inert: the only edge into its left vertex is its own
-    loop, so ``size`` equals ``cactus_size(A, C).size``, while q is p + 1.
-    ``weight`` is the optimal matching weight, ``reachable`` the
-    output-reachable states of (A, C), and ``spare`` the node of y' in the
-    matching ``network`` that ``flow`` solves.
+    The empty row is inert: no edge enters its left vertex, so ``size``
+    equals ``cactus_size(A, C).size``, while q is p + 1. ``weight`` is the
+    optimal matching weight, ``reachable`` the output-reachable states of
+    (A, C), ``flow`` the optimal flow of the matching ``network``, and
+    ``offset`` the arc cost W + 1 of a cost-0 edge in that network, W being
+    the sum of the edge costs.
     """
 
     size: int
@@ -154,28 +156,32 @@ class SpareRowCactus:
     reachable: frozenset[int]
     network: FlowNetwork
     flow: Flow
-    spare: int
+    offset: int
 
     def raising_states(self, states: Iterable[int]) -> frozenset[int]:
         """The states i whose unit row e_i raises the cactus size of (A, C).
 
         An output-unreachable state always does: it becomes a one-state stem.
         For a reachable one, the cactus bigraphs of [C; 0] and [C; e_i] differ
-        by the edge x_i -> y' of cost q alone, so the optimum weight grows by
-        q less the cheapest residual path from y' to x_i when that is
-        positive. One residual search from y' prices every state at once.
+        by the edge x_i -> y' of cost q alone, whose arc closes a cycle with
+        the cheapest residual path from y' to x_i. That path leaves y'
+        through the sink and crosses one more matched edge backwards than
+        forwards, so its cost carries -offset, and the optimum weight grows
+        by q - offset less the path cost when that is positive. One residual
+        search from y' prices every state at once.
         """
         wanted = frozenset(states)
         reached = wanted & self.reachable
         if not reached:
             return wanted
-        # node i of the matching network is the right vertex x_i
-        dist = residual_distances(self.network, self.flow, self.spare)
+        # y' is the last left vertex, the node before the sink; node i of the
+        # matching network is the right vertex x_i
+        dist = residual_distances(self.network, self.flow, self.network.sink - 1)
         return (wanted - reached) | {
             i
             for i in reached
             if dist[i] is not None
-            and _cactus_shape(self.weight + self.q - dist[i], self.q)[0] > self.size
+            and _cactus_shape(self.weight + self.q - dist[i] - self.offset, self.q)[0] > self.size
         }
 
 
@@ -187,8 +193,8 @@ def spare_row_cactus(A: Pattern, C: Pattern) -> SpareRowCactus:
     flow = min_cost_max_flow(net)
     weight = g.weight(flow_matching(g, flow))
     size = _cactus_shape(weight, q)[0]
-    # y' is the last right vertex, and matching_network numbers it g.right
-    return SpareRowCactus(size, weight, q, output_reachable_states(A, C), net, flow, g.right)
+    offset = sum(c for _, _, c in g.edges) + 1
+    return SpareRowCactus(size, weight, q, output_reachable_states(A, C), net, flow, offset)
 
 
 def input_cactus_size(A: Pattern, B: Pattern) -> int:

@@ -177,7 +177,7 @@ def min_sensors_matching(A: Pattern, F: Pattern) -> SensorPlacement:
     n = A.rows
     i_xf = dedicated_rows(n, x_f)
     report = cactus_size(A, i_xf)
-    x_h = sorted(r for r, l in report.certificate.edges if r <= n < l)
+    x_h = sorted(r for r, l in report.certificate.edges if l > n)
     rows = max(1, len(x_h))
     entries = {(k + 1, state) for k, state in enumerate(x_h)}
     anchored = reachable(A, x_h, "backward")  # states with a path to some x_h state

@@ -259,8 +259,9 @@ def reference_min_sensors_iterative(A: Pattern, F: Pattern) -> SensorPlacement:
 
 
 # ---------------------------------------------------------------------------
-# reference cactus bigraph: the earlier cactus_bigraph, which lists the p·n
-# zero-cost return edges y_j -> x_i one by one instead of as an implicit block
+# reference cactus bigraph: the earlier (n+p)x(n+p) cactus_bigraph, whose
+# output right vertices each take a loop and the zero-cost return edges
+# y_j -> x_i to every state, all listed one by one
 
 
 def reference_cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:

@@ -20,7 +20,6 @@ from structsys import (
     reachable,
     scc,
 )
-from structsys.combinat import matching_network
 from structsys.diag import loop_augmented_bigraph
 from structsys.grank import linking_network, output_reachable_states
 from support import COUNTER_A, COUNTER_C, rand_pattern
@@ -147,6 +146,8 @@ def test_extremal_two_parallel_matchings():
     hi = extremal_weight_max_matching(g, "maximize")
     assert g.weight(lo) == 2 and lo.edges == {(1, 1), (2, 2)}
     assert g.weight(hi) == 7 and hi.edges == {(1, 2), (2, 1)}
+    for sense in ("minimize", "maximize"):
+        assert extremal_weight_max_matching(Bigraph(2, 2, ()), sense).size == 0
 
 
 def test_extremal_matches_enumeration():
@@ -173,72 +174,6 @@ def test_extremal_matches_enumeration():
 def test_extremal_rejects_unknown_sense():
     with pytest.raises(ValueError):
         extremal_weight_max_matching(Bigraph(1, 1, ((1, 1, 0),)), "maximise")
-
-
-def materialised(g: Bigraph) -> Bigraph:
-    """The same bigraph with its implicit block listed edge by edge."""
-    first = g.right - g.block
-    block = tuple(
-        (r, l, 0) for r in range(first + 1, g.right + 1) for l in range(1, g.left - g.block + 1)
-    )
-    return Bigraph(g.left, g.right, g.edges + block)
-
-
-def test_extremal_with_a_block_equals_the_materialised_block():
-    # the hub carries exactly the optima of the complete zero-cost block, and
-    # the decoded matching is a matching of the materialised bigraph
-    rnd = random.Random(6)
-    block_matched = 0
-    for trial in range(300):
-        left, right = rnd.randint(0, 7), rnd.randint(0, 7)
-        block = rnd.randint(0, min(left, right))
-        edges = tuple(
-            (r, l, rnd.choice((0, 1, 3)))
-            for r in range(1, right + 1)
-            for l in range(1, left + 1)
-            if rnd.random() < 0.35 and not (r > right - block and l <= left - block)
-        )
-        g = Bigraph(left, right, edges, block)
-        full = materialised(g)
-        for sense in ("minimize", "maximize"):
-            ours = extremal_weight_max_matching(g, sense)
-            ref = extremal_weight_max_matching(full, sense)
-            assert ours.size == ref.size
-            assert full.weight(ours) == g.weight(ours) == full.weight(ref)
-        block_matched += bool(ours.right_matched() & set(range(right - block + 1, right + 1)))
-    assert block_matched >= 50
-
-
-def test_extremal_solves_a_bigraph_that_has_only_its_block():
-    g = Bigraph(2, 2, (), block=1)
-    for sense in ("minimize", "maximize"):
-        m = extremal_weight_max_matching(g, sense)
-        assert m.edges == {(2, 1)} and g.weight(m) == 0
-    assert extremal_weight_max_matching(Bigraph(2, 2, ()), "maximize").size == 0
-
-
-def test_block_rights_and_lefts_pair_in_ascending_order():
-    # block rights 4, 5 and block lefts 1..4; the hub is node 13, after the
-    # sink, with the right -> hub arcs before the hub -> left arcs. The edge
-    # (3, 2) holds left 2, so the hub carries rights 4, 5 onto two of the
-    # lefts 1, 3, 4, the lower right onto the lower left
-    g = Bigraph(6, 5, ((1, 5, 0), (2, 6, 0), (3, 2, 5)), block=2)
-    net = matching_network(g, "maximize")
-    assert net.nodes == 5 + 6 + 3 and net.sink == 12
-    assert net.arcs[5 + 3 + 6 :] == (
-        (4, 13, 1, 6), (5, 13, 1, 6), (13, 6, 1, 0), (13, 7, 1, 0), (13, 8, 1, 0), (13, 9, 1, 0)
-    )
-    m = extremal_weight_max_matching(g, "maximize")
-    assert {(1, 5), (2, 6), (3, 2)} < m.edges and m.size == 5
-    hub_pairs = sorted((r, l) for r, l in m.edges if r > 3)
-    assert [r for r, _ in hub_pairs] == [4, 5]
-    lefts = [l for _, l in hub_pairs]
-    assert lefts == sorted(lefts) and set(lefts) <= {1, 3, 4}
-
-
-def test_max_matching_rejects_a_block():
-    with pytest.raises(ValueError, match="block"):
-        max_matching(Bigraph(2, 2, ((1, 1, 0),), block=1))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,21 @@ def test_pattern_validation():
     assert Pattern(2, 2).nonzeros == frozenset()  # all-zero pattern is legal
 
 
+def test_pattern_indices_are_plain_ints():
+    # numpy integers and bools pass operator.index and are stored as int; a
+    # float, a string or a non-pair is refused here, not later in grank
+    np = pytest.importorskip("numpy")
+    P = Pattern(np.int64(2), 2, {(np.int64(1), np.int32(2)), (True, 1)})
+    assert P == Pattern(2, 2, {(1, 2), (1, 1)})
+    assert all(type(v) is int for v in (P.rows, P.cols, *P.flat))
+    assert is_generically_diagonalizable(P).grank_A == 1
+    for bad in ((1.5, 1), (1, "2"), (1, 2, 3), "12"):
+        with pytest.raises(ValueError, match=re.escape(f"pattern nonzero {bad!r} is not a (row, col)")):
+            Pattern(2, 2, {bad})
+    with pytest.raises(ValueError, match=re.escape("dimensions must be integers, got 2.0x2")):
+        Pattern(2.0, 2)
+
+
 def test_column_support_is_computed_once_and_not_compared():
     a, b = Pattern(2, 3, {(1, 1), (2, 3)}), Pattern(2, 3, {(1, 1), (2, 3)})
     assert a.column_support() is a.column_support() == frozenset({1, 3})
@@ -193,34 +208,9 @@ def test_bigraph_cost_finds_every_edge_and_only_those():
     g = Bigraph(3, 3, ((2, 3, 7), (1, 1, 0), (2, 1, 4), (3, 3, 1)))
     assert [g.cost(r, l) for r, l, _ in g.edges] == [c for _, _, c in g.edges] == [0, 4, 7, 1]
     assert g.weight(Matching({(1, 1), (2, 3)})) == 7
-    for missing in ((1, 2), (2, 2), (3, 1), (4, 1), (0, 0)):
+    for missing in ((1, 2), (2, 2), (3, 1), (4, 1), (4, 3), (3, 4), (3, 0), (0, 1), (0, 0)):
         with pytest.raises(KeyError):
             g.cost(*missing)
-
-
-def test_bigraph_block_is_implicit_and_checked():
-    # the last block rights reach every left 1..left - block at cost 0
-    g = Bigraph(3, 3, ((1, 1, 5), (3, 3, 2), (2, 3, 4)), block=1)
-    assert len(g.edges) == 3
-    assert [g.cost(3, l) for l in (1, 2, 3)] == [0, 0, 2]
-    assert g.cost(1, 1) == 5 and g.cost(2, 3) == 4
-    assert g.weight(Matching({(1, 1), (3, 2), (2, 3)})) == 9
-    for missing in ((2, 1), (1, 2), (4, 1), (4, 3), (3, 0), (0, 1), (3, 4)):
-        with pytest.raises(KeyError):
-            g.cost(*missing)
-    # a block of min(left, right) is legal; with block == left it has no slot
-    assert Bigraph(3, 2, (), block=2).cost(2, 1) == 0
-    with pytest.raises(KeyError):
-        Bigraph(2, 3, (), block=2).cost(3, 1)
-    for block in (-1, 4):
-        with pytest.raises(ValueError, match="block"):
-            Bigraph(3, 3, (), block=block)
-    with pytest.raises(ValueError, match="block 3 outside 0..2"):
-        Bigraph(2, 3, (), block=3)
-    # one edge at most per slot: a stored edge may not fill a block slot
-    with pytest.raises(ValueError, match=r"edge \(3,1\) lies in the implicit block"):
-        Bigraph(3, 3, ((3, 1, 0),), block=1)
-    assert Bigraph(3, 3, ((3, 1, 0),)).cost(3, 1) == 0
 
 
 def test_held_diag_reports_stay_small():

@@ -279,14 +279,17 @@ def test_cactus_with_an_implicit_return_block_equals_the_listed_block():
 
         g, q = cactus_bigraph(a, c)
         ref, ref_q = reference_cactus_bigraph(a, c)
-        assert (g.block, q, len(g.edges) + p * n) == (p, ref_q, len(ref.edges))
+        # the states alone are right vertices: the listed bigraph less its
+        # output right vertices, their loops and their return edges
+        assert (g.right, g.left, q) == (n, n + p, ref_q)
+        assert g.edges == tuple(e for e in ref.edges if e[0] <= n)
         weight, size, stems = _reference_cactus(a, c)
         rep = cactus_size(a, c)
         assert (rep.size, rep.stems) == (size, stems)
         # the certificate is a matching of the listed bigraph (cost raises
         # KeyError on a pair that is not an edge of it), of the same weight
         assert ref.weight(rep.certificate) == g.weight(rep.certificate) == weight
-        assert rep.certificate.size == n + p
+        assert rep.certificate.size == n
 
         m = rnd.randint(0, 3)
         b = rand_pattern(rnd, n, m, rnd.uniform(0.05, 0.5))
@@ -303,12 +306,15 @@ def test_cactus_with_an_implicit_return_block_equals_the_listed_block():
 
 
 def test_cactus_network_is_linear_in_the_return_block():
-    # n = 800, p = 80: the hub gives 6073 arcs, the listed block 69193
+    # n = 800, p = 80: n source arcs, one arc per edge and n + p sink arcs,
+    # 5033 in all, where the listed return block gives 69193
     gen = bench_gen()
     doc = gen.verdict_system(random.Random(0), 800)
     n, p = doc["n"], doc["p"]
     a = Pattern(n, n, frozenset(map(tuple, doc["A"])))
     c = Pattern(p, n, frozenset(map(tuple, doc["C"])))
     g, _ = cactus_bigraph(a, c)
-    assert p == 80 and g.block == p
-    assert len(matching_network(g, "maximize").arcs) < 7000
+    net = matching_network(g, "maximize")
+    assert (n, p) == (800, 80)
+    assert len(net.arcs) == 2 * n + p + len(g.edges) == 5033
+    assert net.nodes == 2 * n + p + 2
