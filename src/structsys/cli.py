@@ -409,7 +409,7 @@ def dot_system(sys_pat: SystemPattern) -> str:
 def _dot_two_layer(
     name: str, label: str, b: Pattern, a: Pattern, c: Pattern, linking: Linking, dashed: bool
 ) -> str:
-    """Node-split two-layer graph of (A, B, C) with the arcs of ``linking``
+    """Two-layer graph of (A, B, C) with the arcs of ``linking``
     drawn bold red; ``dashed`` draws every input arc dashed."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", f'  label="{label}";']
     lines += [f'  "u{i}" [shape=box style=filled fillcolor=lightblue];' for i in range(1, b.cols + 1)]

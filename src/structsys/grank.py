@@ -29,6 +29,7 @@ from .core import (
     Entry,
     Matching,
     Pattern,
+    _pairs,
     check_shapes,
     pattern_bigraph,
     stack,
@@ -204,10 +205,6 @@ def input_cactus_size(A: Pattern, B: Pattern) -> int:
     return cactus_size(A.transpose(), B.transpose()).size
 
 
-def _pairs(flat: tuple[int, ...]) -> tuple[Entry, ...]:
-    return tuple(zip(flat[::2], flat[1::2]))
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Linking:
     """The arcs a maximum vertex-disjoint linking of the two-layer graph uses.
@@ -227,19 +224,22 @@ class Linking:
         self, inputs: Iterable[Entry], states: Iterable[Entry], outputs: Iterable[Entry]
     ) -> None:
         for name, arcs in (("input_flat", inputs), ("state_flat", states), ("output_flat", outputs)):
-            object.__setattr__(self, name, tuple(v for arc in arcs for v in arc))
+            pairs = tuple(arcs)
+            if any(len(arc) != 2 for arc in pairs):
+                raise ValueError("linking arcs must be (tail, head) pairs")
+            object.__setattr__(self, name, tuple(v for arc in pairs for v in arc))
 
     @property
     def inputs(self) -> tuple[Entry, ...]:
-        return _pairs(self.input_flat)
+        return tuple(_pairs(self.input_flat))
 
     @property
     def states(self) -> tuple[Entry, ...]:
-        return _pairs(self.state_flat)
+        return tuple(_pairs(self.state_flat))
 
     @property
     def outputs(self) -> tuple[Entry, ...]:
-        return _pairs(self.output_flat)
+        return tuple(_pairs(self.output_flat))
 
     @property
     def size(self) -> int:
@@ -247,9 +247,18 @@ class Linking:
 
 
 def linking_network(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -> FlowNetwork:
-    """Unit-capacity node-split network whose max flow is the largest
-    vertex-disjoint linking from the second layer (states and inputs) through
-    the first state layer to the outputs.
+    """Unit-capacity network whose max flow is the largest vertex-disjoint
+    linking from the second layer (states and inputs) through the first
+    state layer to the outputs.
+
+    Only x^1 is split into an in/out pair: u_i and x_i^2 have one in-arc (from
+    the source) and y_j one out-arc (to the sink), each of capacity 1, so they
+    carry at most one unit without a split. Nodes: source 0, u_i = i,
+    x_i^2 = m + i, x_i^1 in at m + n - 1 + 2i and out at m + n + 2i,
+    y_j = m + 3n + j, sink m + 3n + p + 1. Arcs, in this order: the B, A_r
+    and C arcs, each in sorted-nonzero order, so :func:`max_linking` reads
+    their flow by position; then the m + n source arcs, the n x^1 split arcs
+    and the p sink arcs.
 
     Input arcs cost ``input_cost`` and every other arc costs 0. With B the
     identity and cost 1 this is the actuator-placement network: a minimum
@@ -257,40 +266,15 @@ def linking_network(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -
     feeds a state from its candidate input only where it must.
     """
     n, m, p = check_shapes(A_r, B, C), B.cols, C.rows
-
-    # node ids: source, then in/out pairs for u_1..u_m, x^2, x^1, y
-    def u_in(i: int) -> int:
-        return 1 + 2 * (i - 1)
-
-    def x2_in(i: int) -> int:
-        return 1 + 2 * m + 2 * (i - 1)
-
-    def x1_in(i: int) -> int:
-        return 1 + 2 * (m + n) + 2 * (i - 1)
-
-    def y_in(i: int) -> int:
-        return 1 + 2 * (m + 2 * n) + 2 * (i - 1)
-
-    sink = 1 + 2 * (m + 2 * n + p)
-    # arc order, which max_linking decodes: m + n source arcs, m + 2n + p
-    # split arcs, the B, A_r and C arcs in sorted-nonzero order, p sink arcs
-    arcs: list[tuple[int, int, int, int]] = []
-    for i in range(1, m + 1):
-        arcs.append((0, u_in(i), 1, 0))
-    for i in range(1, n + 1):
-        arcs.append((0, x2_in(i), 1, 0))
-    for base in (u_in, x2_in, x1_in, y_in):
-        count = {u_in: m, x2_in: n, x1_in: n, y_in: p}[base]
-        for i in range(1, count + 1):
-            arcs.append((base(i), base(i) + 1, 1, 0))
-    for j, i in B.sorted_nonzeros():  # u_i -> x_j^1
-        arcs.append((u_in(i) + 1, x1_in(j), 1, input_cost))
-    for j, i in A_r.sorted_nonzeros():  # x_i^2 -> x_j^1
-        arcs.append((x2_in(i) + 1, x1_in(j), 1, 0))
-    for j, i in C.sorted_nonzeros():  # x_i^1 -> y_j
-        arcs.append((x1_in(i) + 1, y_in(j), 1, 0))
-    for j in range(1, p + 1):
-        arcs.append((y_in(j) + 1, sink, 1, 0))
+    x1 = m + n - 1  # x_i^1 enters at x1 + 2i and leaves at x1 + 2i + 1
+    y = m + 3 * n
+    sink = y + p + 1
+    arcs = [(i, x1 + 2 * j, 1, input_cost) for j, i in B.sorted_nonzeros()]  # u_i -> x_j^1
+    arcs += [(m + i, x1 + 2 * j, 1, 0) for j, i in A_r.sorted_nonzeros()]  # x_i^2 -> x_j^1
+    arcs += [(x1 + 2 * i + 1, y + j, 1, 0) for j, i in C.sorted_nonzeros()]  # x_i^1 -> y_j
+    arcs += [(0, v, 1, 0) for v in range(1, m + n + 1)]
+    arcs += [(x1 + 2 * i, x1 + 2 * i + 1, 1, 0) for i in range(1, n + 1)]
+    arcs += [(y + j, sink, 1, 0) for j in range(1, p + 1)]
     return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
 
 
@@ -298,15 +282,12 @@ def max_linking(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -> Li
     """A maximum vertex-disjoint linking, from a minimum-cost maximum flow of
     :func:`linking_network`; with ``input_cost`` 1 it uses the fewest input
     arcs among maximum linkings."""
-    used = min_cost_max_flow(linking_network(A_r, B, C, input_cost)).arc_flow
-    n, m, p = A_r.rows, B.cols, C.rows
-    k = (m + n) + (m + 2 * n + p)
-    layers = []
-    for M in (B, A_r, C):
-        entries = M.sorted_nonzeros()
-        layers.append(tuple((i, j) for (j, i), f in zip(entries, used[k : k + len(entries)]) if f))
-        k += len(entries)
-    return Linking(*layers)
+    used = iter(min_cost_max_flow(linking_network(A_r, B, C, input_cost)).arc_flow)
+    # zip asks the entries first, so a layer ends without taking the next
+    # layer's first flow value
+    return Linking(
+        *(tuple((i, j) for (j, i), f in zip(M.sorted_nonzeros(), used) if f) for M in (B, A_r, C))
+    )
 
 
 def linking_size(A_r: Pattern, B: Pattern, C: Pattern) -> int:

@@ -7,7 +7,8 @@ attains the closed-form optimum. For general patterns two constructions
 count, which is minimal among output patterns whose sensors touch only
 functional states. Actuator placement asks for the fewest input columns
 making a triple SOC; for generically diagonalizable patterns a min-cost
-flow on the node-split two-layer graph attains the closed-form optimum.
+flow on the two-layer graph, with a unit capacity on each first-layer
+state, attains the closed-form optimum.
 
 Every free tie in the constructions is resolved deterministically:
 round-robin row assignment, row 1, smallest state index, column 1.
@@ -207,10 +208,9 @@ def min_actuators_diag(A: Pattern, C: Pattern) -> ActuatorPlacement:
         raise PreconditionError("output pattern has no rows; nothing to control")
     if not is_generically_diagonalizable(A).verdict:
         raise PreconditionError("state pattern is not generically diagonalizable")
-    if grank(C) != p:
-        raise PreconditionError(
-            f"output pattern must have full generic row rank {p}, got {grank(C)}"
-        )
+    rank = grank(C)
+    if rank != p:
+        raise PreconditionError(f"output pattern must have full generic row rank {p}, got {rank}")
     # one candidate input per state, each costing 1
     linking = max_linking(A, identity_pattern(n), C, input_cost=1)
     x_f1 = frozenset(j for _, j in linking.inputs)

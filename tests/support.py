@@ -14,6 +14,7 @@ from structsys import (
     Bigraph,
     Flow,
     FlowNetwork,
+    Linking,
     Pattern,
     PreconditionError,
     SensorPlacement,
@@ -23,6 +24,7 @@ from structsys import (
     grank,
     identity_pattern,
     is_generically_diagonalizable,
+    min_cost_max_flow,
     stack,
     unit_row,
 )
@@ -281,6 +283,67 @@ def reference_cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
         for i in range(1, n + 1):
             edges.append((n + j, i, 0))
     return Bigraph(n + p, n + p, tuple(edges)), q
+
+
+# ---------------------------------------------------------------------------
+# reference linking network: the earlier two-layer network that splits every
+# vertex (u, x^2, x^1 and y) into an in/out pair, with its offset decode
+
+
+def reference_linking_network(
+    A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0
+) -> FlowNetwork:
+    n, m, p = A_r.rows, B.cols, C.rows
+
+    def u_in(i: int) -> int:
+        return 1 + 2 * (i - 1)
+
+    def x2_in(i: int) -> int:
+        return 1 + 2 * m + 2 * (i - 1)
+
+    def x1_in(i: int) -> int:
+        return 1 + 2 * (m + n) + 2 * (i - 1)
+
+    def y_in(i: int) -> int:
+        return 1 + 2 * (m + 2 * n) + 2 * (i - 1)
+
+    sink = 1 + 2 * (m + 2 * n + p)
+    # m + n source arcs, m + 2n + p split arcs, the B, A_r and C arcs in
+    # sorted-nonzero order, p sink arcs
+    arcs: list[tuple[int, int, int, int]] = []
+    for i in range(1, m + 1):
+        arcs.append((0, u_in(i), 1, 0))
+    for i in range(1, n + 1):
+        arcs.append((0, x2_in(i), 1, 0))
+    for base, count in ((u_in, m), (x2_in, n), (x1_in, n), (y_in, p)):
+        for i in range(1, count + 1):
+            arcs.append((base(i), base(i) + 1, 1, 0))
+    for j, i in B.sorted_nonzeros():  # u_i -> x_j^1
+        arcs.append((u_in(i) + 1, x1_in(j), 1, input_cost))
+    for j, i in A_r.sorted_nonzeros():  # x_i^2 -> x_j^1
+        arcs.append((x2_in(i) + 1, x1_in(j), 1, 0))
+    for j, i in C.sorted_nonzeros():  # x_i^1 -> y_j
+        arcs.append((x1_in(i) + 1, y_in(j), 1, 0))
+    for j in range(1, p + 1):
+        arcs.append((y_in(j) + 1, sink, 1, 0))
+    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
+
+
+def reference_max_linking(
+    A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0
+) -> tuple[Linking, Flow]:
+    """The linking decoded from the all-split network by arc offsets, and
+    that network's optimal flow."""
+    flow = min_cost_max_flow(reference_linking_network(A_r, B, C, input_cost))
+    n, m, p = A_r.rows, B.cols, C.rows
+    k = (m + n) + (m + 2 * n + p)
+    layers = []
+    for M in (B, A_r, C):
+        entries = M.sorted_nonzeros()
+        used = flow.arc_flow[k : k + len(entries)]
+        layers.append(tuple((i, j) for (j, i), f in zip(entries, used) if f))
+        k += len(entries)
+    return Linking(*layers), flow
 
 
 def bench_gen():

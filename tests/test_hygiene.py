@@ -1,8 +1,10 @@
-"""Source hygiene of the package: its export list and its imports.
+"""Source hygiene of the package: its export list, its imports and its
+top-level names.
 
 No linter ships with the package, so these checks read the sources with
-``ast``: an import that nothing uses is dead code, and an export list that
-names something missing breaks ``from structsys import *``.
+``ast``: an import that nothing uses is dead code, an export list that
+names something missing breaks ``from structsys import *``, and a name
+defined in two modules is one definition too many.
 """
 
 from __future__ import annotations
@@ -85,3 +87,25 @@ def test_the_unused_import_check_sees_an_unused_name(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(module) == ["probe.py:1 Sequence", "probe.py:3 Pattern"]
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Top-level functions, classes and assigned names (imports excluded)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_two_modules_define_the_same_top_level_name():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) >= 9
+    owners: dict[str, list[str]] = {}
+    for path in modules:
+        for name in _defined_names(ast.parse(path.read_text(encoding="utf-8"))):
+            owners.setdefault(name, []).append(path.name)
+    assert {name: where for name, where in owners.items() if len(where) > 1} == {}

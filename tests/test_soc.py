@@ -13,16 +13,27 @@ from structsys import (
     OracleConfig,
     Pattern,
     PreconditionError,
+    identity_pattern,
     input_reachable_restriction,
     is_generically_diagonalizable,
     is_soc,
+    max_linking,
+    min_cost_max_flow,
     numeric_output_controllable,
     sample_field_realization,
     unit_row,
 )
-from structsys.grank import output_reachable_states
+from structsys.cli import parse_system
+from structsys.grank import linking_network, output_reachable_states
 from structsys.soc import input_reachable_states
-from support import eye, rand_gen_diag, rand_pattern, rand_square
+from support import (
+    bench_gen,
+    eye,
+    rand_gen_diag,
+    rand_pattern,
+    rand_square,
+    reference_max_linking,
+)
 
 SOC_A = Pattern(5, 5, {(2, 1), (3, 2), (4, 1), (4, 5)})
 SOC_B = Pattern(5, 1, {(1, 1)})
@@ -237,6 +248,81 @@ def test_linking_stores_flat_layers_and_reads_back_pairs():
     assert link.outputs == ((2, 1), (4, 2)) and link.size == 2
     assert link == Linking([(1, 2)], [(3, 4), (5, 6)], [(2, 1), (4, 2)]) != Linking((), (), ())
     assert hash(link) == hash(Linking([(1, 2)], [(3, 4), (5, 6)], [(2, 1), (4, 2)]))
+
+
+def test_linking_refuses_arcs_that_are_not_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        Linking([(1, 2, 3)], [], [(4,)])
+    with pytest.raises(ValueError, match="pairs"):
+        Linking([], [(1, 2), (3,)], [])
+    with pytest.raises(ValueError, match="pairs"):
+        Linking([], [], [(1, 2), ()])
+
+
+def _assert_linking_matches_reference(a_r, b, c, input_cost):
+    ref, ref_flow = reference_max_linking(a_r, b, c, input_cost)
+    flow = min_cost_max_flow(linking_network(a_r, b, c, input_cost))
+    link = max_linking(a_r, b, c, input_cost)
+    assert (link.inputs, link.states, link.outputs) == (ref.inputs, ref.states, ref.outputs)
+    assert (flow.value, flow.cost) == (ref_flow.value, ref_flow.cost)
+
+
+def test_linking_matches_the_all_split_reference_on_the_bench_systems():
+    # the SOC restriction and the actuator network of every bench system
+    gen = bench_gen()
+    docs = gen.verdicts_family() + gen.placement_family()
+    assert len(docs) == 200
+    for doc in docs:
+        sys_pat = parse_system(doc)
+        a, b, c = sys_pat.A, sys_pat.B, sys_pat.C
+        _, a_r = input_reachable_restriction(a, b)
+        _assert_linking_matches_reference(a_r, b, c, 0)
+        _assert_linking_matches_reference(a, identity_pattern(sys_pat.n), c, 1)
+
+
+def test_linking_matches_the_all_split_reference_on_random_instances():
+    rnd = random.Random(67)
+    seen = {"m = 0": 0, "p = 0": 0, "n = 0": 0, "C = 0": 0}
+    for trial in range(480):
+        n, m, p = rnd.randint(0, 8), rnd.randint(0, 4), rnd.randint(0, 5)
+        if trial % 4 == 0:
+            m = 0
+        elif trial % 4 == 1:
+            p = 0
+        elif trial % 4 == 2:
+            n = 0
+        a = rand_square(rnd, n, rnd.uniform(0.05, 0.6))
+        b = rand_pattern(rnd, n, m, rnd.uniform(0.05, 0.6))
+        c = rand_pattern(rnd, p, n, 0.0 if trial % 4 == 3 else rnd.uniform(0.05, 0.6))
+        seen["m = 0"] += m == 0
+        seen["p = 0"] += p == 0
+        seen["n = 0"] += n == 0
+        seen["C = 0"] += not c.nonzeros
+        for input_cost in (0, 1):
+            _assert_linking_matches_reference(a, b, c, input_cost)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_linking_network_splits_only_the_first_state_layer():
+    # m + n source arcs, n x^1 split arcs, p sink arcs and one arc per entry
+    # of B, A_r and C; the all-split network had m + n + p more of each
+    gen = bench_gen()
+    for doc, actuator, arcs, nodes in (
+        (gen.verdict_system(random.Random(0), 800), False, 5118, 2562),
+        (gen.placement_system(random.Random(0), 800), True, 4799, 3282),
+    ):
+        sys_pat = parse_system(doc)
+        n, c = sys_pat.n, sys_pat.C
+        if actuator:
+            a, b = sys_pat.A, identity_pattern(n)
+        else:
+            a, b = input_reachable_restriction(sys_pat.A, sys_pat.B)[1], sys_pat.B
+        m, p = b.cols, c.rows
+        net = linking_network(a, b, c, int(actuator))
+        entries = len(b.flat) // 2 + len(a.flat) // 2 + len(c.flat) // 2
+        assert n == 800
+        assert len(net.arcs) == m + 2 * n + p + entries == arcs
+        assert net.nodes == m + 3 * n + p + 2 == nodes
 
 
 def test_held_soc_reports_stay_small():
