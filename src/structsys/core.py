@@ -11,10 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import index
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    from .diag import DiagReport
+from typing import Iterable, Iterator, Sequence
 
 
 class PreconditionError(ValueError):
@@ -38,15 +35,16 @@ class Pattern:
     and zero-column patterns are legal; so is the all-zero pattern.
 
     Two private slots, neither compared nor shown: ``_columns`` keeps
-    :meth:`column_support`, and ``_diag`` keeps the report of
-    :func:`structsys.diag.is_generically_diagonalizable` on this object.
+    :meth:`column_support`, and ``_memo`` is a dict, made on first use by
+    :meth:`_remember`, in which analyses of this object keep what another
+    call on it can reuse.
     """
 
     rows: int
     cols: int
     flat: tuple[int, ...]
     _columns: frozenset[int] | None = field(repr=False, compare=False)
-    _diag: DiagReport | None = field(repr=False, compare=False)
+    _memo: dict | None = field(repr=False, compare=False)
 
     def __init__(self, rows: int, cols: int, nonzeros: Iterable[Entry] = ()) -> None:
         try:
@@ -67,7 +65,7 @@ class Pattern:
         return pattern
 
     def _store(self, rows: int, cols: int, flat: tuple[int, ...]) -> None:
-        slots = (("rows", rows), ("cols", cols), ("flat", flat), ("_columns", None), ("_diag", None))
+        slots = (("rows", rows), ("cols", cols), ("flat", flat), ("_columns", None), ("_memo", None))
         for name, value in slots:
             object.__setattr__(self, name, value)
         self.__post_init__()
@@ -106,6 +104,14 @@ class Pattern:
         if self._columns is None:
             object.__setattr__(self, "_columns", frozenset(self.flat[1::2]))
         return self._columns
+
+    def _remember(self) -> dict:
+        """This object's memo, made on first use. Each analysis keeps one
+        entry under its own key and replaces it when asked about other
+        inputs, so the memo never grows past one entry per key."""
+        if self._memo is None:
+            object.__setattr__(self, "_memo", {})
+        return self._memo
 
     def induced(self, states: Iterable[int]) -> "Pattern":
         """Square subpattern on the given row/column indices, reindexed to 1..k."""

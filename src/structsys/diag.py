@@ -54,26 +54,26 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
     maximum, equivalently when the minimum weight of a maximum matching of
     the loop-augmented bigraph equals n minus the generic rank.
 
-    The report is kept on ``A`` itself, so every later call on the same
-    pattern object returns it without solving again; an equal but distinct
-    pattern pays for its own solve.
+    The report is kept in the memo of ``A`` itself, so every later call on
+    the same pattern object returns it without solving again; an equal but
+    distinct pattern pays for its own solve.
     """
     n = check_shapes(A)
-    if A._diag is None:
+    memo = A._remember()
+    if "diag" not in memo:
         g = loop_augmented_bigraph(A)
         cert = extremal_weight_max_matching(g, "minimize")
         weight = g.weight(cert)
         v = n - weight
         gr = grank(A)
-        report = DiagReport(
+        memo["diag"] = DiagReport(
             verdict=gr == v,
             grank_A=gr,
             v_A=v,
             mwmm_weight=weight,
             certificate=cert,
         )
-        object.__setattr__(A, "_diag", report)
-    return A._diag
+    return memo["diag"]
 
 
 def cycle_cover_max(A: Pattern) -> int:

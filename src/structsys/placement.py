@@ -3,15 +3,22 @@
 Sensor placement asks for the fewest output rows making a triple SFO; for
 generically diagonalizable state patterns a weighted-matching construction
 attains the closed-form optimum. For general patterns two constructions
-(an iterative one and a direct weighted-matching one) deliver the same row
-count, which is minimal among output patterns whose sensors touch only
-functional states. Actuator placement asks for the fewest input columns
-making a triple SOC; for generically diagonalizable patterns a min-cost
-flow on the two-layer graph, with a unit capacity on each first-layer
-state, attains the closed-form optimum.
+(copies of the row on the functional states, and dedicated sensors from a
+weighted matching) deliver the same row count, which is minimal among
+output patterns whose sensors touch only functional states. Actuator
+placement asks for the fewest input columns making a triple SOC; for
+generically diagonalizable patterns a min-cost flow on the two-layer graph,
+with a unit capacity on each first-layer state, attains the closed-form
+optimum.
 
 Every free tie in the constructions is resolved deterministically:
 round-robin row assignment, row 1, smallest state index, column 1.
+
+Each sensor placement makes a fixed number of flow solves, whatever its row
+count. The matching of the diagonalizable-case construction and the
+dedicated-sensor cactus are kept in the state pattern's memo for the
+functional states last asked about, so both variants of the former share one
+matching, and the two general constructions share one cactus solve.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .core import (
     dedicated_rows,
     identity_pattern,
     shares_empty_sets,
-    stack,
 )
 from .diag import is_generically_diagonalizable
 from .grank import cactus_size, grank, max_linking
@@ -90,13 +96,7 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
             "use min_sensors_iterative or min_sensors_matching instead"
         )
     n = A.rows
-    edges = tuple(
-        (j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros()
-    )
-    matching = extremal_weight_max_matching(Bigraph(n, n, edges), "minimize")
-    matched_right = matching.right_matched()
-    x_s = frozenset(x_f & matched_right)
-    x_f_u = frozenset(x_f - x_s)
+    x_s, x_f_u = _matched_split(A, x_f)
     rows = max(1, len(x_f_u))
     entries: set[tuple[int, int]] = set()
     for k, state in enumerate(sorted(x_f_u)):
@@ -119,6 +119,35 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
     )
 
 
+def _matched_split(A: Pattern, x_f: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """(X_S, X_F_unmatched): the functional states a minimum-weight maximum
+    matching of A, costing 1 on every edge leaving a functional state,
+    matches on the right, and the rest. Kept in A's memo for the last x_f."""
+    memo = A._remember()
+    split = memo.get("split")
+    if split is None or split[0] != x_f:
+        n = A.rows
+        edges = tuple((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros())
+        x_s = x_f & extremal_weight_max_matching(Bigraph(n, n, edges), "minimize").right_matched()
+        split = memo["split"] = (x_f, x_s, x_f - x_s)
+    return split[1], split[2]
+
+
+def _stem_states(A: Pattern, x_f: frozenset[int]) -> tuple[int, ...]:
+    """The states, ascending, whose stems end in an output in the maximum
+    cactus of A with one dedicated row per functional state. Kept in A's
+    memo for the last x_f."""
+    memo = A._remember()
+    stems = memo.get("stems")
+    if stems is None or stems[0] != x_f:
+        n = A.rows
+        cert = cactus_size(A, dedicated_rows(n, x_f)).certificate.flat
+        # the certificate lists its edges by ascending right vertex (state)
+        x_h = tuple(r for r, l in zip(cert[::2], cert[1::2]) if l > n)
+        stems = memo["stems"] = (x_f, x_h)
+    return stems[1]
+
+
 def _drop_redundant_links(
     A: Pattern, entries: set[tuple[int, int]], shared: dict[int, int], x_s: frozenset[int]
 ) -> set[tuple[int, int]]:
@@ -131,26 +160,32 @@ def _drop_redundant_links(
 
 
 def min_sensors_iterative(A: Pattern, F: Pattern) -> SensorPlacement:
-    """Feasible sensor placement for any state pattern by repeated row
-    appending.
+    """Feasible sensor placement for any state pattern from copies of one
+    row: the fewest copies of the row η supported exactly on the functional
+    states that make the triple (A, C, F) SFO.
 
-    Appends copies of the row supported exactly on the functional states
-    until the triple (A, C, F) is SFO. Minimal among output patterns whose
-    sensors touch only functional states.
+    SFO never breaks when rows are appended, so k copies are the fewest once
+    η^k passes :func:`sfo_feasible` and η^(k-1) fails it. The candidate k is
+    the row count of :func:`min_sensors_matching` (its stem count, at least
+    1), read from the cactus solve the two share, and the two checks certify
+    it, so the call makes at most three flow solves besides the
+    diagonalizability solve, whatever k is. Minimal among output patterns
+    whose sensors touch only functional states.
     """
     x_f = _require_functional(A, F)
     n = A.rows
-    eta = Pattern(1, n, frozenset((1, i) for i in sorted(x_f)))
-    c = Pattern(0, n, frozenset())
-    for _ in range(len(x_f) + 1):
-        if sfo_feasible(A, c, F):
-            break
-        c = stack(c, eta)
-    else:
-        raise AssertionError("row appending failed to converge")
+    k = max(1, len(_stem_states(A, x_f)))
+    eta = sorted(x_f)
+    flat = tuple(v for row in range(1, k + 1) for i in eta for v in (row, i))
+    if not sfo_feasible(A, Pattern._from_flat(k, n, flat), F):
+        raise AssertionError(f"{k} copies of the functional row do not make the triple SFO")
+    fewer = flat[: 2 * (k - 1) * len(eta)]
+    if k > 1 and sfo_feasible(A, Pattern._from_flat(k - 1, n, fewer), F):
+        raise AssertionError(f"{k - 1} copies of the functional row already make the triple SFO")
     return SensorPlacement(
-        C_out=c,
-        p_star=c.rows,
+        # a pattern of its own, so the result keeps no column set a probe cached
+        C_out=Pattern._from_flat(k, n, flat),
+        p_star=k,
         method="alg2",
         X_F_unmatched=frozenset(),
         X_S=frozenset(),
@@ -176,9 +211,7 @@ def min_sensors_matching(A: Pattern, F: Pattern) -> SensorPlacement:
     """
     x_f = _require_functional(A, F)
     n = A.rows
-    i_xf = dedicated_rows(n, x_f)
-    report = cactus_size(A, i_xf)
-    x_h = sorted(r for r, l in report.certificate.edges if l > n)
+    x_h = _stem_states(A, x_f)
     rows = max(1, len(x_h))
     entries = {(k + 1, state) for k, state in enumerate(x_h)}
     anchored = reachable(A, x_h, "backward")  # states with a path to some x_h state

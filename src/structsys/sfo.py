@@ -52,15 +52,23 @@ def functional_states(F: Pattern) -> frozenset[int]:
 
 
 def sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
-    """Bare SFO verdict, skipping the per-state diagnosis of :func:`is_sfo`."""
+    """Bare SFO verdict, skipping the per-state diagnosis of :func:`is_sfo`.
+
+    Appending F keeps the cactus size of (A, C) exactly when no unit row e_i
+    on a functional state i raises it: the row space of the observability
+    matrix of (A, C) is A-invariant, and a generic row supported on a set S
+    of states lies in it only when every e_i with i in S does. So one solve
+    of the cactus of [C; 0] and one residual search
+    (:meth:`structsys.grank.SpareRowCactus.raising_states`) decide it, and
+    no solve runs when some functional state is output-unreachable.
+    """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
     if not x_f:
         return True
-    w = output_reachable_states(A, C)
-    if x_f - w:
+    if x_f - output_reachable_states(A, C):
         return False
-    return cactus_size(A, stack(C, F)).size == cactus_size(A, C).size
+    return not spare_row_cactus(A, C).raising_states(x_f)
 
 
 def is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:

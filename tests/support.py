@@ -240,6 +240,20 @@ def reference_is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
 
 
 # ---------------------------------------------------------------------------
+# reference bare SFO verdict: the earlier sfo_feasible, which compares the
+# cactus sizes of (A, C) and (A, [C; F]) in two full solves
+
+
+def reference_sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
+    x_f = functional_states(F)
+    if not x_f:
+        return True
+    if x_f - output_reachable_states(A, C):
+        return False
+    return cactus_size(A, stack(C, F)).size == cactus_size(A, C).size
+
+
+# ---------------------------------------------------------------------------
 # reference sensor placement: the earlier min_sensors_iterative, which appends
 # the functional-support row while the cactus gap of (A, [C; F]) over (A, C)
 # is at least 1, re-solving both cacti for every candidate row count

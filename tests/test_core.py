@@ -20,6 +20,8 @@ from structsys import (
     dedicated_rows,
     hstack,
     is_generically_diagonalizable,
+    min_sensors_diag,
+    min_sensors_matching,
     pattern_bigraph,
     stack,
     unit_row,
@@ -107,6 +109,16 @@ def test_pattern_indices_are_plain_ints():
 def test_column_support_is_computed_once_and_not_compared():
     a, b = Pattern(2, 3, {(1, 1), (2, 3)}), Pattern(2, 3, {(1, 1), (2, 3)})
     assert a.column_support() is a.column_support() == frozenset({1, 3})
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_memo_is_made_on_first_use_and_not_compared():
+    a, b = Pattern(3, 3, {(1, 2), (2, 1), (3, 3)}), Pattern(3, 3, {(1, 2), (2, 1), (3, 3)})
+    assert a._memo is None
+    min_sensors_diag(a, Pattern(1, 3, {(1, 1), (1, 3)}))
+    min_sensors_matching(a, Pattern(1, 3, {(1, 2)}))
+    assert a._remember() is a._memo and set(a._memo) == {"diag", "split", "stems"}
+    assert b._memo is None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 

@@ -23,6 +23,7 @@ from structsys import (
     sfo_preserved_under_functional_edge_addition,
     unit_row,
 )
+from structsys.grank import output_reachable_states
 from support import (
     COUNTER_A,
     COUNTER_C,
@@ -37,6 +38,7 @@ from support import (
     reference_in_minimal_dilation,
     reference_is_sfo,
     reference_is_sfo_diag,
+    reference_sfo_feasible,
 )
 
 
@@ -343,6 +345,56 @@ def test_is_sfo_makes_two_flow_solves(monkeypatch):
     solves.clear()
     assert not is_sfo(COUNTER_A, COUNTER_C, COUNTER_F).verdict
     assert len(solves) == 2
+
+
+def test_sfo_feasible_equals_the_two_cactus_reference_on_random_instances():
+    # no functional unit row raising the cactus must mean what equal cactus
+    # sizes with and without F meant, diagonalizable or not, with p = 0 too
+    rnd = random.Random(72)
+    seen = {"sfo": 0, "not sfo": 0, "reachable, not sfo": 0, "not diagonalizable": 0}
+    for trial in range(3000):
+        A, C, F = rand_sfo_instance(rnd, trial % 5)
+        ours = sfo_feasible(A, C, F)
+        assert ours == reference_sfo_feasible(A, C, F), (A, C, F)
+        seen["sfo" if ours else "not sfo"] += 1
+        seen["reachable, not sfo"] += not ours and functional_states(F) <= output_reachable_states(A, C)
+        seen["not diagonalizable"] += not is_generically_diagonalizable(A).verdict
+    # the verdicts the spare-row solve decides, past the reachability exit
+    assert seen["reachable, not sfo"] >= 100 and min(seen.values()) >= 100, seen
+
+
+def test_sfo_feasible_equals_the_two_cactus_reference_on_every_functional_row_count():
+    # the probes of sensor placement: C is k copies of the row on the
+    # functional states, for every k from 0 to the number of those states
+    rnd = random.Random(73)
+    probes = flips = 0
+    for trial in range(800):
+        A, _, F = rand_sfo_instance(rnd, trial % 5)
+        n, x_f = A.rows, sorted(functional_states(F))
+        verdicts = []
+        for k in range(len(x_f) + 1):
+            C = Pattern(k, n, {(row, i) for row in range(1, k + 1) for i in x_f})
+            verdicts.append(sfo_feasible(A, C, F))
+            assert verdicts[-1] == reference_sfo_feasible(A, C, F), (A, C, F)
+        probes += len(verdicts)
+        # never lost once reached (monotone in k), and always reached
+        assert verdicts[-1] and verdicts == sorted(verdicts), (A, F, verdicts)
+        flips += verdicts.index(True) >= 2
+    assert probes >= 2800 and flips >= 150, (probes, flips)
+
+
+def test_sfo_feasible_makes_one_flow_solve_and_none_when_a_state_is_unreachable(monkeypatch):
+    solves = count_flow_solves(monkeypatch)
+    n = 6
+    everything = Pattern(1, n, frozenset((1, j) for j in range(1, n + 1)))
+    # x1 alone is read; the other states are isolated, so unreachable
+    assert not sfo_feasible(Pattern(n, n), Pattern(1, n, {(1, 1)}), everything)
+    assert len(solves) == 0
+    assert not sfo_feasible(COUNTER_A, COUNTER_C, COUNTER_F)
+    assert len(solves) == 1
+    solves.clear()
+    assert sfo_feasible(Pattern(n, n), eye(n), everything)
+    assert len(solves) == 1
 
 
 def assert_diag_criteria_match_the_per_state_reference(A: Pattern, C: Pattern, F: Pattern) -> None:
