@@ -195,7 +195,10 @@ def spare_row_cactus(A: Pattern, C: Pattern) -> SpareRowCactus:
     weight = g.weight(flow_matching(g, flow))
     size = _cactus_shape(weight, q)[0]
     offset = sum(c for _, _, c in g.edges) + 1
-    return SpareRowCactus(size, weight, q, output_reachable_states(A, C), net, flow, offset)
+    # a state reaches an output exactly when an edge with a cost leaves it:
+    # an output edge (q > 0) or a state edge into an output-reachable state
+    reachable = frozenset(r for r, _, c in g.edges if c)
+    return SpareRowCactus(size, weight, q, reachable, net, flow, offset)
 
 
 def input_cactus_size(A: Pattern, B: Pattern) -> int:

@@ -5,6 +5,11 @@ when almost every numeric realization admits a functional observer for the
 functional z = Fx. The general decision compares maximum cactus sizes with
 and without the functional rows appended; for generically diagonalizable
 state patterns three simpler rank and graph criteria apply and must agree.
+Each is decided per state: appending F keeps the size (cactus size, or
+generic rank of [A; C]) exactly when no unit row e_i on a functional state
+i raises it. The generic row space of the observability matrix is
+A-invariant, and a generic row on a set S of states lies in it only when
+every e_i with i in S does (for the ranks, Dulmage & Mendelsohn 1958).
 """
 
 from __future__ import annotations
@@ -52,15 +57,9 @@ def functional_states(F: Pattern) -> frozenset[int]:
 
 
 def sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
-    """Bare SFO verdict, skipping the per-state diagnosis of :func:`is_sfo`.
-
-    Appending F keeps the cactus size of (A, C) exactly when no unit row e_i
-    on a functional state i raises it: the row space of the observability
-    matrix of (A, C) is A-invariant, and a generic row supported on a set S
-    of states lies in it only when every e_i with i in S does. So one solve
-    of the cactus of [C; 0] and one residual search
-    (:meth:`structsys.grank.SpareRowCactus.raising_states`) decide it, and
-    no solve runs when some functional state is output-unreachable.
+    """Bare SFO verdict, skipping the report of :func:`is_sfo`: no solve when
+    some functional state is output-unreachable, else one cactus solve of
+    [C; 0] and one residual search (:class:`structsys.grank.SpareRowCactus`).
     """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
@@ -74,25 +73,19 @@ def sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
 def is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
     """General SFO decision via cactus sizes.
 
-    True exactly when the functional states are all output-reachable and
-    appending the functional rows leaves the maximum cactus size unchanged.
-    An empty functional set is vacuously observable. When the verdict is
-    false, ``failing_states`` holds the functional states whose own unit row
-    raises the cactus size; one residual search of the solved cactus of
-    [C; 0] finds them all (:class:`structsys.grank.SpareRowCactus`), so the
-    call costs two cactus solves however many functional states there are.
+    The ``failing_states`` are the functional states whose unit row raises
+    the cactus size (output-unreachable ones always do), all found by one
+    residual search of the solved cactus of [C; 0]; the verdict is true when
+    there are none. The cactus of [C; F] is solved only to report ``d_ACF``
+    on a false verdict.
     """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
-    if not x_f:
-        d_ac = cactus_size(A, C).size
-        return SfoReport(True, "general-cactus", x_f, frozenset(), d_ac, d_ac, frozenset())
     base = spare_row_cactus(A, C)
+    failing = base.raising_states(x_f)
+    d_acf = cactus_size(A, stack(C, F)).size if failing else base.size
     unreachable = x_f - base.reachable
-    d_acf = cactus_size(A, stack(C, F)).size
-    verdict = not unreachable and base.size == d_acf
-    failing = frozenset() if verdict else base.raising_states(x_f)
-    return SfoReport(verdict, "general-cactus", x_f, unreachable, base.size, d_acf, failing)
+    return SfoReport(not failing, "general-cactus", x_f, unreachable, base.size, d_acf, failing)
 
 
 def in_minimal_dilation(A: Pattern, C: Pattern, i: int) -> bool:
@@ -113,10 +106,12 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
 
     ``condition`` picks the criterion: "b" compares the generic ranks of
     [A; C] and [A; C; F], "c" runs the rank test per functional state, and
-    "d" tests minimal-dilation membership per functional state. All three
-    agree with each other and with :func:`is_sfo` on diagonalizable inputs.
-    One matching of [A; C] and one alternating search answer the per-state
-    test for every state (:func:`structsys.grank.rank_raising_columns`).
+    "d" tests minimal-dilation membership per functional state. The per-state
+    test is the dilation test (:func:`in_minimal_dilation`) and fails on some
+    functional state exactly when b's ranks differ, so all three give one
+    report but for ``method``: one matching of [A; C] and one alternating
+    search (:func:`structsys.grank.rank_raising_columns`), plus a matching of
+    [A; C; F] on a false verdict, kept in A's memo for the last (C, F).
     """
     check_shapes(A, C=C, F=F)
     if condition not in ("b", "c", "d"):
@@ -126,23 +121,18 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
             "state pattern is not generically diagonalizable; "
             "the simplified criteria require that assumption (use is_sfo instead)"
         )
-    method = {"b": "diag-rank", "c": "diag-per-state", "d": "diag-dilation"}[condition]
-    x_f = functional_states(F)
-    base = stack(A, C)
-    gr_ac, raising = rank_raising_columns(base)
-    gr_acf = grank(stack(base, F))
-    if not x_f:
-        return SfoReport(True, method, x_f, frozenset(), gr_ac, gr_acf, frozenset())
-    w = output_reachable_states(A, C)
-    unreachable = x_f - w
-    rank_holds = not unreachable and gr_ac == gr_acf
-    # the per-state rank test of c is also the minimal-dilation test of d
-    # (see in_minimal_dilation) and b's diagnosis when its verdict is false
-    failing: frozenset[int] = frozenset()
-    if condition != "b" or not rank_holds:
+    memo = A._remember()
+    kept = memo.get("sfo")
+    if kept is None or kept[0] != (C, F):
+        x_f = functional_states(F)
+        base = stack(A, C)
+        gr_ac, raising = rank_raising_columns(base)
         failing = x_f & raising
-    verdict = rank_holds if condition == "b" else not unreachable and not failing
-    return SfoReport(verdict, method, x_f, unreachable, gr_ac, gr_acf, failing)
+        gr_acf = grank(stack(base, F)) if failing else gr_ac
+        kept = memo["sfo"] = ((C, F), x_f, x_f - output_reachable_states(A, C), gr_ac, gr_acf, failing)
+    _, x_f, unreachable, gr_ac, gr_acf, failing = kept
+    method = {"b": "diag-rank", "c": "diag-per-state", "d": "diag-dilation"}[condition]
+    return SfoReport(not unreachable and not failing, method, x_f, unreachable, gr_ac, gr_acf, failing)
 
 
 def sfo_preserved_under_functional_edge_addition(

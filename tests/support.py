@@ -192,22 +192,28 @@ def bellman_ford_min_cost_max_flow(net: FlowNetwork) -> Flow:
 
 
 
-def count_flow_solves(monkeypatch) -> list[FlowNetwork]:
-    """Make every flow solve append its network to the returned list. The
-    package re-exports functions under its submodules' names
-    (``structsys.grank`` is the function), so every alias of the engine is
-    reached through ``sys.modules``."""
-    real = sys.modules["structsys.combinat"].min_cost_max_flow
-    solves: list[FlowNetwork] = []
+def count_calls(monkeypatch, engine: str) -> list:
+    """Make every call of the ``structsys.combinat`` function ``engine``
+    append its first argument to the returned list. The package re-exports
+    functions under its submodules' names (``structsys.grank`` is the
+    function), so every alias of the engine is reached through
+    ``sys.modules``."""
+    real = getattr(sys.modules["structsys.combinat"], engine)
+    calls: list = []
 
     def counting(*args, **kwargs):
-        solves.append(args[0])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("structsys") and getattr(module, "min_cost_max_flow", None) is real:
-            monkeypatch.setattr(module, "min_cost_max_flow", counting)
-    return solves
+        if name.startswith("structsys") and getattr(module, engine, None) is real:
+            monkeypatch.setattr(module, engine, counting)
+    return calls
+
+
+def count_flow_solves(monkeypatch) -> list[FlowNetwork]:
+    """Make every flow solve append its network to the returned list."""
+    return count_calls(monkeypatch, "min_cost_max_flow")
 
 
 def chain_pattern(n: int) -> Pattern:

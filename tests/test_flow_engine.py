@@ -233,7 +233,7 @@ def test_cactus_shaped_networks_match_networkx(n, p):
 
 
 @pytest.mark.parametrize("n, p", [(20, 4), (20, 10), (150, 15), (400, 200)])
-def test_hub_shaped_networks_match_networkx(n, p):
+def test_states_only_cactus_networks_match_networkx(n, p):
     # the cactus network as built, with the states alone on the right: the
     # same flow value and cost as networkx, and a decoded matching as heavy
     # as the optimum of the listed bigraph; the flow costs of the two differ,

@@ -22,7 +22,7 @@ from structsys import (
     unit_row,
 )
 from structsys.combinat import extremal_weight_max_matching, matching_network
-from structsys.grank import cactus_bigraph, spare_row_cactus
+from structsys.grank import cactus_bigraph, output_reachable_states, spare_row_cactus
 from structsys.oracle import field_rank, sample_field_realization
 from support import (
     COUNTER_A,
@@ -242,6 +242,7 @@ def test_spare_row_cactus_prices_every_unit_row():
         d = cactus_size(a, c).size
         base = spare_row_cactus(a, c)
         assert (base.size, base.q) == (d, p + 1)
+        assert base.reachable == output_reachable_states(a, c)
         expected = frozenset(
             i for i in range(1, n + 1) if cactus_size(a, stack(c, unit_row(n, i))).size > d
         )
@@ -260,7 +261,7 @@ def _reference_cactus(a: Pattern, c: Pattern) -> tuple[int, int, int]:
     return weight, size, (q + 1) * size - weight
 
 
-def test_cactus_with_an_implicit_return_block_equals_the_listed_block():
+def test_states_only_cactus_equals_the_listed_reference():
     # cactus_size, input_cactus_size and spare_row_cactus against the
     # materialised block, on n = 0..9 with p = 0, p >= n/2 and all-zero rows
     rnd = random.Random(15)
@@ -305,7 +306,7 @@ def test_cactus_with_an_implicit_return_block_equals_the_listed_block():
     assert min(seen.values()) >= 100, seen
 
 
-def test_cactus_network_is_linear_in_the_return_block():
+def test_states_only_cactus_network_has_one_arc_per_edge_and_vertex():
     # n = 800, p = 80: n source arcs, one arc per edge and n + p sink arcs,
     # 5033 in all, where the listed return block gives 69193
     gen = bench_gen()

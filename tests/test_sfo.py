@@ -23,12 +23,13 @@ from structsys import (
     sfo_preserved_under_functional_edge_addition,
     unit_row,
 )
-from structsys.grank import output_reachable_states
+from structsys.grank import output_reachable_states, spare_row_cactus
 from support import (
     COUNTER_A,
     COUNTER_C,
     COUNTER_F,
     FIXTURE_NAMES,
+    count_calls,
     count_flow_solves,
     eye,
     fixture_path,
@@ -333,9 +334,10 @@ def test_is_sfo_equals_the_per_state_reference_on_random_instances():
     assert min(seen.values()) >= 200, seen
 
 
-def test_is_sfo_makes_two_flow_solves(monkeypatch):
-    # one for the cactus of [C; 0], one for [C; F]; the per-state diagnosis
-    # is a residual search, however many functional states there are
+def test_is_sfo_makes_one_flow_solve_when_sfo_and_two_when_not(monkeypatch):
+    # one for the cactus of [C; 0], and one for [C; F] only to report its
+    # size on a false verdict; the per-state diagnosis is a residual search,
+    # however many functional states there are
     solves = count_flow_solves(monkeypatch)
     n = 6
     everything = Pattern(1, n, frozenset((1, j) for j in range(1, n + 1)))
@@ -345,6 +347,10 @@ def test_is_sfo_makes_two_flow_solves(monkeypatch):
     solves.clear()
     assert not is_sfo(COUNTER_A, COUNTER_C, COUNTER_F).verdict
     assert len(solves) == 2
+    solves.clear()
+    rep = is_sfo(Pattern(n, n), eye(n), everything)
+    assert rep.verdict and rep.d_AC == rep.d_ACF == n
+    assert len(solves) == 1
 
 
 def test_sfo_feasible_equals_the_two_cactus_reference_on_random_instances():
@@ -395,6 +401,45 @@ def test_sfo_feasible_makes_one_flow_solve_and_none_when_a_state_is_unreachable(
     solves.clear()
     assert sfo_feasible(Pattern(n, n), eye(n), everything)
     assert len(solves) == 1
+
+
+def test_spare_row_cactus_makes_one_reachability_search_and_sfo_feasible_two(monkeypatch):
+    searches = count_calls(monkeypatch, "reachable")
+    base = spare_row_cactus(COUNTER_A, COUNTER_C)
+    assert len(searches) == 1
+    assert base.reachable == output_reachable_states(COUNTER_A, COUNTER_C) == {1, 2, 3, 4}
+    searches.clear()
+    # every functional state is reachable, so the spare-row solve runs
+    assert not sfo_feasible(COUNTER_A, COUNTER_C, COUNTER_F)
+    assert len(searches) == 2
+
+
+def test_is_sfo_diag_matches_f_only_on_a_false_verdict_and_shares_c_with_d(monkeypatch):
+    # on an A whose diagonalizability is known: one matching of [A; C], a
+    # second of [A; C; F] only when the verdict is false, and none for "d"
+    # after "c", which reports the very sets "c" built
+    matchings = count_calls(monkeypatch, "max_matching")
+    n = 4
+    A = Pattern(n, n)
+    assert is_generically_diagonalizable(A).verdict
+    everything = Pattern(1, n, frozenset((1, j) for j in range(1, n + 1)))
+    first = Pattern(1, n, {(1, 1)})
+    matchings.clear()
+    assert is_sfo_diag(A, eye(n), everything, "b").verdict
+    assert len(matchings) == 1
+    matchings.clear()
+    c = is_sfo_diag(A, first, everything, "c")
+    assert not c.verdict and c.failing_states == {2, 3, 4} and (c.d_AC, c.d_ACF) == (1, 2)
+    assert len(matchings) == 2
+    matchings.clear()
+    # an equal pattern is the same input
+    d = is_sfo_diag(A, Pattern(1, n, {(1, 1)}), everything, "d")
+    assert len(matchings) == 0 and d.method == "diag-dilation"
+    assert d.functional_states is c.functional_states and d.failing_states is c.failing_states
+    assert d.unreachable_functional_states is c.unreachable_functional_states
+    assert (d.verdict, d.d_AC, d.d_ACF) == (c.verdict, c.d_AC, c.d_ACF)
+    assert is_sfo_diag(A, first, first, "d").verdict
+    assert len(matchings) == 1
 
 
 def assert_diag_criteria_match_the_per_state_reference(A: Pattern, C: Pattern, F: Pattern) -> None:
