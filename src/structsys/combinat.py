@@ -209,15 +209,17 @@ def residual_distances(net: FlowNetwork, flow: Flow, origin: int) -> list[int | 
     return [d - shift + pot[v] if d < _INF else None for v, d in enumerate(dist)]
 
 
-def max_matching(g: Bigraph) -> Matching:
-    """Maximum-cardinality matching by augmenting paths.
+def hopcroft_karp(g: Bigraph) -> tuple[Matching, frozenset[int]]:
+    """Maximum-cardinality matching (Hopcroft & Karp 1973), and the right
+    vertices that some maximum matching leaves unmatched.
 
-    A greedy pass first matches each right vertex, in ascending order, to its
-    first free left neighbour. Each right vertex left unmatched then starts
-    an augmenting-path search, a depth-first search on an explicit stack
-    that scans adjacency in ascending left order. Right vertices are taken
-    in ascending order and the tie-breaking is fixed; no recursion is used,
-    so path length is bounded only by memory.
+    After a greedy pass, each phase levels the right vertices by one
+    breadth-first search from the free ones along alternating paths, then
+    augments along level-increasing paths, each found by a depth-first
+    search on an explicit stack (a current-arc pointer per vertex; a vertex
+    with no way on is dropped). The first search that reaches no free left
+    vertex ends the run; the right vertices it reached are the second value
+    (Dulmage & Mendelsohn 1958). Roots and adjacency go in ascending order.
     """
     adj: list[list[int]] = [[] for _ in range(g.right + 1)]
     for r, l, _ in g.edges:
@@ -229,35 +231,54 @@ def max_matching(g: Bigraph) -> Matching:
             if not match_l[l]:
                 match_l[l], match_r[r] = r, l
                 break
-    seen = [0] * (g.left + 1)  # holds the root of the last search to visit
-    for root in range(1, len(adj)):
-        if match_r[root]:
-            continue
-        rights, cursors, lefts = [root], [0], []
-        while rights:
-            r, i = rights[-1], cursors[-1]
-            nbrs = adj[r]
-            while i < len(nbrs) and seen[nbrs[i]] == root:
-                i += 1
-            if i == len(nbrs):
-                rights.pop()
-                cursors.pop()
-                if lefts:
-                    lefts.pop()
-                continue
-            l = nbrs[i]
-            cursors[-1] = i + 1
-            seen[l] = root
-            owner = match_l[l]
-            lefts.append(l)
-            if owner:
-                rights.append(owner)
-                cursors.append(0)
-                continue
-            for r, l in zip(rights, lefts):  # flip the alternating path
-                match_l[l], match_r[r] = r, l
-            break
-    return Matching.from_mates(match_r)
+    while True:
+        free = [r for r in range(1, len(adj)) if not match_r[r]]
+        level = [-1] * len(adj)
+        for r in free:
+            level[r] = 0
+        layer, reached = free, False
+        while layer and not reached:
+            deeper = []
+            for r in layer:
+                up = level[r] + 1
+                for l in adj[r]:
+                    owner = match_l[l]
+                    if not owner:
+                        reached = True
+                    elif level[owner] < 0:
+                        level[owner] = up
+                        deeper.append(owner)
+            layer = deeper
+        if not reached:
+            return Matching.from_mates(match_r), frozenset(r for r, v in enumerate(level) if v >= 0)
+        for r in layer:  # past the shortest augmenting paths
+            level[r] = -1
+        cursor = [0] * len(adj)
+        for root in free:
+            rights = [root]
+            while rights:
+                r = rights[-1]
+                nbrs, i, up = adj[r], cursor[r], level[r] + 1
+                while i < len(nbrs):
+                    owner = match_l[nbrs[i]]
+                    if not owner or level[owner] == up:
+                        break
+                    i += 1
+                cursor[r] = i
+                if i == len(nbrs):  # no way on: dropped for the phase
+                    level[rights.pop()] = -1
+                elif owner:
+                    rights.append(owner)
+                else:  # flip the path from its free end and drop its vertices
+                    l = nbrs[i]
+                    for r in reversed(rights):
+                        match_l[l], match_r[r], l, level[r] = r, l, match_r[r], -1
+                    break
+
+
+def max_matching(g: Bigraph) -> Matching:
+    """Maximum-cardinality matching: :func:`hopcroft_karp`'s matching."""
+    return hopcroft_karp(g)[0]
 
 
 def matching_network(g: Bigraph, sense: Literal["minimize", "maximize"]) -> FlowNetwork:

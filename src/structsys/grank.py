@@ -18,6 +18,7 @@ from .combinat import (
     FlowNetwork,
     extremal_weight_max_matching,
     flow_matching,
+    hopcroft_karp,
     matching_network,
     max_matching,
     min_cost_max_flow,
@@ -43,33 +44,10 @@ def grank(M: Pattern) -> int:
 
 def rank_raising_columns(M: Pattern) -> tuple[int, frozenset[int]]:
     """``grank(M)``, and the columns i for which appending the unit row e_i
-    below M raises it.
-
-    That happens exactly when some maximum matching leaves column i
-    unmatched (Dulmage & Mendelsohn 1958): column i is unmatched in the one
-    maximum matching found, or an alternating path reaches it from such a
-    column, going column -> row by any entry and row -> its matched column.
-    One matching and one search answer every column.
-    """
-    matching = max_matching(pattern_bigraph(M))
-    mate = [0] * (M.rows + 1)  # the column matched to each row, 0 if none
-    for col, row in zip(matching.flat[::2], matching.flat[1::2]):
-        mate[row] = col
-    rows_of: list[list[int]] = [[] for _ in range(M.cols + 1)]
-    for i, j in M.sorted_nonzeros():
-        rows_of[j].append(i)
-    matched = matching.right_matched()
-    frontier = [j for j in range(1, M.cols + 1) if j not in matched]
-    marked = set(frontier)
-    while frontier:
-        for row in rows_of[frontier.pop()]:
-            # every row next to a marked column is matched, or the matching
-            # would have an augmenting path
-            col = mate[row]
-            if col not in marked:
-                marked.add(col)
-                frontier.append(col)
-    return matching.size, frozenset(marked)
+    below M raises it: those some maximum matching leaves unmatched, as
+    :func:`structsys.combinat.hopcroft_karp` reports them."""
+    matching, raising = hopcroft_karp(pattern_bigraph(M))
+    return matching.size, raising
 
 
 @dataclass(frozen=True, slots=True)

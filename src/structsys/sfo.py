@@ -109,8 +109,8 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
     "d" tests minimal-dilation membership per functional state. The per-state
     test is the dilation test (:func:`in_minimal_dilation`) and fails on some
     functional state exactly when b's ranks differ, so all three give one
-    report but for ``method``: one matching of [A; C] and one alternating
-    search (:func:`structsys.grank.rank_raising_columns`), plus a matching of
+    report but for ``method``: one matching search of [A; C]
+    (:func:`structsys.grank.rank_raising_columns`), plus a matching of
     [A; C; F] on a false verdict, kept in A's memo for the last (C, F).
     """
     check_shapes(A, C=C, F=F)

@@ -15,6 +15,7 @@ from structsys import (
     Flow,
     FlowNetwork,
     Linking,
+    Matching,
     Pattern,
     PreconditionError,
     SensorPlacement,
@@ -25,6 +26,7 @@ from structsys import (
     identity_pattern,
     is_generically_diagonalizable,
     min_cost_max_flow,
+    pattern_bigraph,
     stack,
     unit_row,
 )
@@ -457,3 +459,91 @@ def reference_is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: str) ->
         )
     verdict = rank_holds if condition == "b" else not unreachable and not failing
     return SfoReport(verdict, method, x_f, unreachable, gr_ac, gr_acf, failing)
+
+
+# ---------------------------------------------------------------------------
+# reference matching search: the earlier max_matching, one depth-first
+# augmenting-path search per right vertex the greedy pass left free, and the
+# earlier rank_raising_columns, a second alternating search over its matching
+
+
+def reference_max_matching(g: Bigraph) -> Matching:
+    """Maximum-cardinality matching by augmenting paths.
+
+    A greedy pass first matches each right vertex, in ascending order, to its
+    first free left neighbour. Each right vertex left unmatched then starts
+    an augmenting-path search, a depth-first search on an explicit stack
+    that scans adjacency in ascending left order. Right vertices are taken
+    in ascending order and the tie-breaking is fixed; no recursion is used,
+    so path length is bounded only by memory.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.right + 1)]
+    for r, l, _ in g.edges:
+        adj[r].append(l)
+    match_l = [0] * (g.left + 1)  # 0 marks a free vertex
+    match_r = [0] * len(adj)
+    for r in range(1, len(adj)):
+        for l in adj[r]:
+            if not match_l[l]:
+                match_l[l], match_r[r] = r, l
+                break
+    seen = [0] * (g.left + 1)  # holds the root of the last search to visit
+    for root in range(1, len(adj)):
+        if match_r[root]:
+            continue
+        rights, cursors, lefts = [root], [0], []
+        while rights:
+            r, i = rights[-1], cursors[-1]
+            nbrs = adj[r]
+            while i < len(nbrs) and seen[nbrs[i]] == root:
+                i += 1
+            if i == len(nbrs):
+                rights.pop()
+                cursors.pop()
+                if lefts:
+                    lefts.pop()
+                continue
+            l = nbrs[i]
+            cursors[-1] = i + 1
+            seen[l] = root
+            owner = match_l[l]
+            lefts.append(l)
+            if owner:
+                rights.append(owner)
+                cursors.append(0)
+                continue
+            for r, l in zip(rights, lefts):  # flip the alternating path
+                match_l[l], match_r[r] = r, l
+            break
+    return Matching.from_mates(match_r)
+
+
+def reference_rank_raising_columns(M: Pattern) -> tuple[int, frozenset[int]]:
+    """``grank(M)``, and the columns i for which appending the unit row e_i
+    below M raises it.
+
+    That happens exactly when some maximum matching leaves column i
+    unmatched (Dulmage & Mendelsohn 1958): column i is unmatched in the one
+    maximum matching found, or an alternating path reaches it from such a
+    column, going column -> row by any entry and row -> its matched column.
+    One matching and one search answer every column.
+    """
+    matching = reference_max_matching(pattern_bigraph(M))
+    mate = [0] * (M.rows + 1)  # the column matched to each row, 0 if none
+    for col, row in zip(matching.flat[::2], matching.flat[1::2]):
+        mate[row] = col
+    rows_of: list[list[int]] = [[] for _ in range(M.cols + 1)]
+    for i, j in M.sorted_nonzeros():
+        rows_of[j].append(i)
+    matched = matching.right_matched()
+    frontier = [j for j in range(1, M.cols + 1) if j not in matched]
+    marked = set(frontier)
+    while frontier:
+        for row in rows_of[frontier.pop()]:
+            # every row next to a marked column is matched, or the matching
+            # would have an augmenting path
+            col = mate[row]
+            if col not in marked:
+                marked.add(col)
+                frontier.append(col)
+    return matching.size, frozenset(marked)

@@ -11,18 +11,30 @@ from structsys import (
     Bigraph,
     Flow,
     FlowNetwork,
+    Matching,
     Pattern,
     extremal_weight_max_matching,
+    hstack,
     identity_pattern,
     max_matching,
     min_cost_max_flow,
     pattern_bigraph,
     reachable,
     scc,
+    stack,
 )
+from structsys.cli import parse_system
+from structsys.combinat import hopcroft_karp
 from structsys.diag import loop_augmented_bigraph
-from structsys.grank import linking_network, output_reachable_states
-from support import COUNTER_A, COUNTER_C, rand_pattern
+from structsys.grank import linking_network, output_reachable_states, rank_raising_columns
+from structsys.soc import input_reachable_restriction
+from support import (
+    COUNTER_A,
+    COUNTER_C,
+    bench_gen,
+    rand_pattern,
+    reference_rank_raising_columns,
+)
 
 
 def all_matchings(g: Bigraph):
@@ -118,6 +130,69 @@ def test_max_matching_matches_networkx():
         expected = nx.bipartite.maximum_matching(ref, top_nodes=top)
         assert m.size == len(expected) // 2  # networkx lists each pair both ways
         assert m.edges <= {(r, l) for r, l, _ in g.edges}
+
+
+# ---------------------------------------------------------------------------
+# hopcroft_karp
+
+
+def bench_family_graphs(doc: dict) -> list[Pattern]:
+    """A, [A; C], [A; C; F], [A_r, B] and C of one bench system."""
+    sys_pat = parse_system(doc)
+    _, a_r = input_reachable_restriction(sys_pat.A, sys_pat.B)
+    ac = stack(sys_pat.A, sys_pat.C)
+    return [sys_pat.A, ac, stack(ac, sys_pat.F), hstack(a_r, sys_pat.B), sys_pat.C]
+
+
+def test_hopcroft_karp_equals_the_per_root_search_references():
+    rnd = random.Random(19)
+    patterns = []
+    for trial in range(2000):
+        small, large = rnd.randint(0, 6), rnd.randint(7, 14)
+        shapes = ((0, large), (large, 0), (small, large), (large, small), (large, large))
+        rows, cols = shapes[trial % 5]
+        patterns.append(rand_pattern(rnd, rows, cols, rnd.uniform(0.05, 0.6)))
+    gen = bench_gen()
+    for doc in gen.verdicts_family() + gen.placement_family():
+        patterns += bench_family_graphs(doc)
+    assert len(patterns) == 2000 + 5 * 200
+    for M in patterns:
+        g = pattern_bigraph(M)
+        matching, raising = hopcroft_karp(g)
+        assert (matching.size, raising) == reference_rank_raising_columns(M), M
+        assert rank_raising_columns(M) == (matching.size, raising)
+        assert matching.edges <= {(r, l) for r, l, _ in g.edges}
+        assert max_matching(g) == matching
+
+
+def assert_koenig_cover(g: Bigraph, matching: Matching, raising: frozenset[int]) -> None:
+    """The right vertices outside ``raising`` and the left neighbours of
+    ``raising`` cover every edge, and count as many vertices as the matching
+    has edges, so both are optimal (König 1931). Reads the edges alone and
+    calls no matching routine."""
+    edges = {(r, l) for r, l, _ in g.edges}
+    assert matching.edges <= edges
+    rights = set(range(1, g.right + 1)) - raising
+    lefts = {l for r, l in edges if r in raising}
+    assert all(r in rights or l in lefts for r, l in edges)
+    assert len(rights) + len(lefts) == matching.size
+
+
+def test_hopcroft_karp_reports_a_koenig_cover_of_its_size():
+    rnd = random.Random(23)
+    for _ in range(600):
+        left, right = rnd.randint(0, 30), rnd.randint(0, 30)
+        g = pattern_bigraph(rand_pattern(rnd, left, right, rnd.choice((0.03, 0.08, 0.2, 0.5))))
+        assert_koenig_cover(g, *hopcroft_karp(g))
+    # [A_r, B] of a verdicts system at n=12800: 1,280 more columns than
+    # rows, each of which a per-root search would start from afresh
+    sys_pat = parse_system(bench_gen().verdict_system(random.Random(0), 12800))
+    a_rb = hstack(input_reachable_restriction(sys_pat.A, sys_pat.B)[1], sys_pat.B)
+    assert (a_rb.rows, a_rb.cols) == (12800, 14080)
+    g = pattern_bigraph(a_rb)
+    matching, raising = hopcroft_karp(g)
+    assert matching.size == 12800 and len(raising) >= 1280
+    assert_koenig_cover(g, matching, raising)
 
 
 # ---------------------------------------------------------------------------

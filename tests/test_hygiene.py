@@ -1,10 +1,11 @@
-"""Source hygiene of the package: its export list, its imports and its
-top-level names.
+"""Source hygiene of the package: its export list, its imports, its
+top-level names and its recursion.
 
 No linter ships with the package, so these checks read the sources with
 ``ast``: an import that nothing uses is dead code, an export list that
-names something missing breaks ``from structsys import *``, and a name
-defined in two modules is one definition too many.
+names something missing breaks ``from structsys import *``, a name
+defined in two modules is one definition too many, and an engine that
+calls itself can raise ``RecursionError`` on a deep enough input.
 """
 
 from __future__ import annotations
@@ -109,3 +110,53 @@ def test_no_two_modules_define_the_same_top_level_name():
         for name in _defined_names(ast.parse(path.read_text(encoding="utf-8"))):
             owners.setdefault(name, []).append(path.name)
     assert {name: where for name, where in owners.items() if len(where) > 1} == {}
+
+
+# Modules whose functions must keep their searches on explicit stacks, so
+# that no input depth raises RecursionError.
+ENGINE_MODULES = ("core", "combinat", "grank", "diag", "sfo", "soc", "placement")
+
+
+def _self_calls(path: Path) -> list[str]:
+    """Functions, nested ones and methods included, that call themselves
+    by name (a method through ``self`` or ``cls``)."""
+    hits = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            by_name = isinstance(f, ast.Name) and f.id == fn.name
+            by_method = (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            )
+            if by_name or by_method:
+                hits.append(f"{path.name}:{call.lineno} {fn.name}")
+    return hits
+
+
+def test_no_engine_function_calls_itself():
+    paths = [PACKAGE / f"{name}.py" for name in ENGINE_MODULES]
+    assert [hit for path in paths for hit in _self_calls(path)] == []
+
+
+def test_the_self_call_check_sees_direct_nested_and_method_recursion(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else 0\n"
+        "def outer():\n"
+        "    def inner(k):\n"
+        "        return [inner(k - 1)] if k else []\n"
+        "    return inner(3), outer\n"
+        "class Node:\n"
+        "    def depth(self):\n"
+        "        return 1 + self.depth()\n",
+        encoding="utf-8",
+    )
+    assert _self_calls(module) == ["probe.py:2 walk", "probe.py:5 inner", "probe.py:9 depth"]

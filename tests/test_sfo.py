@@ -418,7 +418,7 @@ def test_is_sfo_diag_matches_f_only_on_a_false_verdict_and_shares_c_with_d(monke
     # on an A whose diagonalizability is known: one matching of [A; C], a
     # second of [A; C; F] only when the verdict is false, and none for "d"
     # after "c", which reports the very sets "c" built
-    matchings = count_calls(monkeypatch, "max_matching")
+    matchings = count_calls(monkeypatch, "hopcroft_karp")
     n = 4
     A = Pattern(n, n)
     assert is_generically_diagonalizable(A).verdict
