@@ -7,6 +7,8 @@ diagonalizable systems, and cross-check every verdict with randomized
 numeric and exhaustive oracles at desk scale.
 """
 
+from importlib import import_module
+
 from .combinat import (
     Flow,
     FlowNetwork,
@@ -29,13 +31,6 @@ from .core import (
     stack,
     unit_row,
 )
-from .diag import (
-    DiagReport,
-    certificate_components,
-    cycle_cover_max,
-    is_generically_diagonalizable,
-    scc_induced_diagonalizable,
-)
 from .grank import (
     CactusReport,
     Linking,
@@ -45,37 +40,59 @@ from .grank import (
     linking_size,
     max_linking,
 )
-from .oracle import (
-    OracleConfig,
-    Realization,
-    brute_force,
-    diagonalizable_majority,
-    numeric_diagonalizable,
-    numeric_grank,
-    numeric_obs_rank,
-    numeric_output_controllable,
-    numeric_pbh_functional,
-    sample_field_realization,
-    sample_real_realization,
-)
-from .placement import (
-    ActuatorPlacement,
-    SensorPlacement,
-    min_actuators_diag,
-    min_sensors_diag,
-    min_sensors_iterative,
-    min_sensors_matching,
-)
-from .sfo import (
-    SfoReport,
-    functional_states,
-    in_minimal_dilation,
-    is_sfo,
-    is_sfo_diag,
-    sfo_feasible,
-    sfo_preserved_under_functional_edge_addition,
-)
-from .soc import SocReport, input_reachable_restriction, is_soc
+
+# Every other export imports its module on first use, so that a program (a
+# CLI subcommand, say) compiles only the modules it runs. The grank module is
+# imported above because a later first import of it would bind
+# ``structsys.grank`` to the module in place of the function.
+_LAZY = {
+    "DiagReport": "diag",
+    "certificate_components": "diag",
+    "cycle_cover_max": "diag",
+    "is_generically_diagonalizable": "diag",
+    "scc_induced_diagonalizable": "diag",
+    "OracleConfig": "oracle",
+    "Realization": "oracle",
+    "brute_force": "oracle",
+    "diagonalizable_majority": "oracle",
+    "numeric_diagonalizable": "oracle",
+    "numeric_grank": "oracle",
+    "numeric_obs_rank": "oracle",
+    "numeric_output_controllable": "oracle",
+    "numeric_pbh_functional": "oracle",
+    "sample_field_realization": "oracle",
+    "sample_real_realization": "oracle",
+    "ActuatorPlacement": "placement",
+    "SensorPlacement": "placement",
+    "min_actuators_diag": "placement",
+    "min_sensors_diag": "placement",
+    "min_sensors_iterative": "placement",
+    "min_sensors_matching": "placement",
+    "SfoReport": "sfo",
+    "functional_states": "sfo",
+    "in_minimal_dilation": "sfo",
+    "is_sfo": "sfo",
+    "is_sfo_diag": "sfo",
+    "sfo_feasible": "sfo",
+    "sfo_preserved_under_functional_edge_addition": "sfo",
+    "SocReport": "soc",
+    "input_reachable_restriction": "soc",
+    "is_soc": "soc",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # the next lookup finds it without this call
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

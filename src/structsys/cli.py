@@ -8,6 +8,10 @@ field set to 0; unknown keys are rejected.
 Exit codes: 0 the analysis ran (the verdict is in the report), 2 a
 precondition was violated, 1 an I/O, usage or parse error occurred or the
 analysis ran out of memory or recursion depth.
+
+Each subcommand imports the analysis modules it runs when it runs, so a
+process that computes one generic rank compiles neither the SFO, SOC and
+placement procedures nor the numeric oracles.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from importlib import import_module
+from itertools import chain, islice
+from operator import eq
 from typing import Any, get_origin, get_type_hints
 
-from . import placement as placement_mod
 # min_cost_max_flow is not called here, but bench/spans.py traces flow solves
 # through every module name bound to it and its tests expect this one
 from .combinat import max_matching, min_cost_max_flow  # noqa: F401
@@ -27,22 +33,13 @@ from .core import (
     Pattern,
     PreconditionError,
     SystemPattern,
+    _flatten,
     identity_pattern,
     pattern_bigraph,
     stack,
 )
-from .diag import DiagReport, is_generically_diagonalizable
+from .diag import is_generically_diagonalizable
 from .grank import Linking, grank, max_linking
-from .oracle import (
-    OracleConfig,
-    diagonalizable_majority,
-    numeric_grank,
-    numeric_obs_rank,
-    numeric_output_controllable,
-    sample_field_realization,
-)
-from .sfo import SfoReport, is_sfo, is_sfo_diag
-from .soc import SocReport, is_soc, input_reachable_restriction
 
 _TOP_KEYS = ("n", "m", "p", "r", "A", "B", "C", "F")
 # largest n, m, p or r a system file may declare; checked before any pattern
@@ -78,10 +75,23 @@ def parse_system(doc: Any) -> SystemPattern:
     if dims["n"] < 1:
         raise SystemFileError("field 'n' must be at least 1")
 
-    def entries(key: str, rows: int, cols: int) -> frozenset[tuple[int, int]]:
+    def entries(key: str, rows: int, cols: int) -> Pattern:
         raw = doc[key]
         if not isinstance(raw, list):
             raise SystemFileError(f"field {key!r} must be an array of [row, col] pairs")
+        # C-level checks accept every well-formed array without a Python call
+        # per entry; the loop below runs only when one fails, to name the fault
+        if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+            flat = list(chain.from_iterable(raw))
+            row, col = flat[::2], flat[1::2]
+            if not flat or (
+                set(map(type, flat)) <= {int}
+                and 1 <= min(row) and max(row) <= rows and 1 <= min(col) and max(col) <= cols
+            ):
+                pairs = sorted(map(tuple, raw))  # in linear time when the file is sorted
+                if any(map(eq, pairs, islice(pairs, 1, None))):  # a repeated entry
+                    pairs = sorted(set(pairs))
+                return Pattern._from_flat(rows, cols, _flatten(pairs))
         out = set()
         for item in raw:
             if (
@@ -96,13 +106,13 @@ def parse_system(doc: Any) -> SystemPattern:
                     f"field {key!r} entry [{i}, {j}] outside a {rows}x{cols} pattern"
                 )
             out.add((i, j))
-        return frozenset(out)
+        return Pattern(rows, cols, frozenset(out))
 
     n, m, p, r = dims["n"], dims["m"], dims["p"], dims["r"]
-    a = Pattern(n, n, entries("A", n, n))
-    b = Pattern(n, m, entries("B", n, m)) if m else _expect_empty(doc, "B")
-    c = Pattern(p, n, entries("C", p, n)) if p else _expect_empty(doc, "C")
-    f = Pattern(r, n, entries("F", r, n)) if r else _expect_empty(doc, "F")
+    a = entries("A", n, n)
+    b = entries("B", n, m) if m else _expect_empty(doc, "B")
+    c = entries("C", p, n) if p else _expect_empty(doc, "C")
+    f = entries("F", r, n) if r else _expect_empty(doc, "F")
     return SystemPattern(A=a, B=b, C=c, F=f)
 
 
@@ -150,12 +160,14 @@ def save_system(sys_pat: SystemPattern, path: str) -> None:
 # report serialization
 
 
+# report kind -> (module, class); a report class is imported only to read a
+# report of its kind back, so writing one loads no other analysis module
 _KINDS = {
-    "diag": DiagReport,
-    "sfo": SfoReport,
-    "soc": SocReport,
-    "sensor-placement": placement_mod.SensorPlacement,
-    "actuator-placement": placement_mod.ActuatorPlacement,
+    "diag": ("diag", "DiagReport"),
+    "sfo": ("sfo", "SfoReport"),
+    "soc": ("soc", "SocReport"),
+    "sensor-placement": ("placement", "SensorPlacement"),
+    "actuator-placement": ("placement", "ActuatorPlacement"),
 }
 
 
@@ -164,7 +176,8 @@ def _plain(value: Any) -> Any:
     if isinstance(value, Pattern):
         return {"rows": value.rows, "cols": value.cols, "nonzeros": _plain(value.nonzeros)}
     if isinstance(value, Matching):
-        return _plain(value.edges)
+        flat = value.flat  # ascending right vertex, so already in sorted order
+        return [[r, l] for r, l in zip(flat[::2], flat[1::2])]
     if isinstance(value, Linking):
         return _linking_list(value)
     if isinstance(value, frozenset):
@@ -193,16 +206,19 @@ def report_dict(rep: Any) -> dict:
     """JSON form of a report: its ``kind``, then every field in declaration
     order. Sets become sorted lists, patterns ``{rows, cols, nonzeros}``,
     matchings sorted pairs and linkings their labelled arcs."""
-    kind = {cls: name for name, cls in _KINDS.items()}[type(rep)]
+    cls = type(rep)
+    where = {(f"{__package__}.{module}", name): kind for kind, (module, name) in _KINDS.items()}
+    kind = where[cls.__module__, cls.__qualname__]
     return {"kind": kind, **{f.name: _plain(getattr(rep, f.name)) for f in fields(rep)}}
 
 
 def report_from_dict(obj: dict) -> Any:
     """The report ``report_dict`` wrote; keys that are not fields of the
     report named by ``kind`` are ignored."""
-    cls = _KINDS.get(obj.get("kind"))
-    if cls is None:
+    where = _KINDS.get(obj.get("kind"))
+    if where is None:
         raise ValueError(f"unknown report kind {obj.get('kind')!r}")
+    cls = getattr(import_module(f"{__package__}.{where[0]}"), where[1])
     hints = get_type_hints(cls)
     return cls(**{f.name: _typed(hints[f.name], obj[f.name]) for f in fields(cls)})
 
@@ -284,6 +300,8 @@ def _cmd_diag(args: argparse.Namespace) -> int:
 
 
 def _cmd_sfo(args: argparse.Namespace) -> int:
+    from .sfo import is_sfo, is_sfo_diag
+
     sys_pat = load_system(args.file)
     if args.method == "general":
         rep = is_sfo(sys_pat.A, sys_pat.C, sys_pat.F)
@@ -294,6 +312,8 @@ def _cmd_sfo(args: argparse.Namespace) -> int:
 
 
 def _cmd_soc(args: argparse.Namespace) -> int:
+    from .soc import is_soc
+
     sys_pat = load_system(args.file)
     c = _require(sys_pat, "C")
     _emit(report_dict(is_soc(sys_pat.A, sys_pat.B, c)), args.json)
@@ -301,14 +321,17 @@ def _cmd_soc(args: argparse.Namespace) -> int:
 
 
 def _cmd_place_sensors(args: argparse.Namespace) -> int:
+    from .placement import min_sensors_diag, min_sensors_iterative, min_sensors_matching
+    from .sfo import is_sfo
+
     sys_pat = load_system(args.file)
     f = _require(sys_pat, "F")
     if args.method == "alg1":
-        rep = placement_mod.min_sensors_diag(sys_pat.A, f, minimize_links=args.minimize_links)
+        rep = min_sensors_diag(sys_pat.A, f, minimize_links=args.minimize_links)
     elif args.method == "alg2":
-        rep = placement_mod.min_sensors_iterative(sys_pat.A, f)
+        rep = min_sensors_iterative(sys_pat.A, f)
     else:
-        rep = placement_mod.min_sensors_matching(sys_pat.A, f)
+        rep = min_sensors_matching(sys_pat.A, f)
     report = report_dict(rep)
     report["sfo_with_output"] = is_sfo(sys_pat.A, rep.C_out, f).verdict
     _emit(report, args.json)
@@ -316,9 +339,12 @@ def _cmd_place_sensors(args: argparse.Namespace) -> int:
 
 
 def _cmd_place_actuators(args: argparse.Namespace) -> int:
+    from .placement import min_actuators_diag
+    from .soc import is_soc
+
     sys_pat = load_system(args.file)
     c = _require(sys_pat, "C")
-    rep = placement_mod.min_actuators_diag(sys_pat.A, c)
+    rep = min_actuators_diag(sys_pat.A, c)
     report = report_dict(rep)
     report["soc_with_input"] = is_soc(sys_pat.A, rep.B_out, c).verdict
     _emit(report, args.json)
@@ -326,6 +352,17 @@ def _cmd_place_actuators(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import (
+        OracleConfig,
+        diagonalizable_majority,
+        numeric_grank,
+        numeric_obs_rank,
+        numeric_output_controllable,
+        sample_field_realization,
+    )
+    from .sfo import is_sfo
+    from .soc import is_soc
+
     sys_pat = load_system(args.file)
     cfg = OracleConfig(seed=args.seed, trials=args.trials)
     report: dict[str, Any] = {
@@ -434,6 +471,8 @@ def _dot_two_layer(
 
 def dot_linking(sys_pat: SystemPattern) -> str:
     """Two-layer linking graph with a maximum linking drawn bold red."""
+    from .soc import input_reachable_restriction
+
     b = sys_pat.B
     c = _require(sys_pat, "C")
     _, a_r = input_reachable_restriction(sys_pat.A, b)

@@ -316,12 +316,21 @@ def flow_matching(g: Bigraph, flow: Flow) -> Matching:
 
 
 def extremal_weight_max_matching(
-    g: Bigraph, sense: Literal["minimize", "maximize"]
-) -> Matching:
+    g: Bigraph, sense: Literal["minimize", "maximize"], weighed: bool = False
+) -> Matching | tuple[Matching, int]:
     """Maximum-cardinality matching of minimum or maximum total cost, from a
-    minimum-cost maximum flow of :func:`matching_network`."""
-    net = matching_network(g, sense)
-    return flow_matching(g, min_cost_max_flow(net)) if g.edges else Matching(())
+    minimum-cost maximum flow of :func:`matching_network`. ``weighed`` also
+    returns that total cost, read off the flow's value and cost."""
+    if not g.edges:
+        return (Matching(()), 0) if weighed else Matching(())
+    flow = min_cost_max_flow(matching_network(g, sense))
+    matching = flow_matching(g, flow)
+    if not weighed:
+        return matching
+    if sense == "minimize":
+        return matching, flow.cost
+    # a matched edge of cost c carries its unit at arc cost W + 1 - c
+    return matching, flow.value * (sum(c for _, _, c in g.edges) + 1) - flow.cost
 
 
 def _successors(A: Pattern, reverse: bool = False) -> list[list[int]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, repeat
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -295,6 +295,16 @@ class Bigraph:
                 raise ValueError(f"duplicate edge ({r},{l})")
             last_r, last_l = r, l
 
+    @classmethod
+    def _from_sorted(cls, left: int, right: int, edges: tuple[tuple[int, int, int], ...]) -> "Bigraph":
+        """Bigraph over edges the caller guarantees canonical: sorted, inside
+        both parts, one per slot and of non-negative cost. Nothing is checked
+        again."""
+        g = object.__new__(cls)
+        for name, value in (("left", left), ("right", right), ("edges", edges)):
+            object.__setattr__(g, name, value)
+        return g
+
     def cost(self, r: int, l: int) -> int:
         """Cost of edge (r, l), by binary search on the sorted edges."""
         edges = self.edges
@@ -358,4 +368,6 @@ class Matching:
 def pattern_bigraph(M: Pattern) -> Bigraph:
     """Bipartite view of a pattern: rows on the left, columns on the right,
     a zero-cost edge (j, i) for every nonzero M[i, j]."""
-    return Bigraph(M.rows, M.cols, tuple((j, i, 0) for i, j in M.sorted_nonzeros()))
+    # a pattern holds each entry once and in range, so only the sort is left
+    edges = tuple(sorted(zip(M.flat[1::2], M.flat[::2], repeat(0))))
+    return Bigraph._from_sorted(M.rows, M.cols, edges)

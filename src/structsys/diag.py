@@ -62,8 +62,7 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
     memo = A._remember()
     if "diag" not in memo:
         g = loop_augmented_bigraph(A)
-        cert = extremal_weight_max_matching(g, "minimize")
-        weight = g.weight(cert)
+        cert, weight = extremal_weight_max_matching(g, "minimize", weighed=True)
         v = n - weight
         gr = grank(A)
         memo["diag"] = DiagReport(

@@ -17,7 +17,6 @@ from .combinat import (
     Flow,
     FlowNetwork,
     extremal_weight_max_matching,
-    flow_matching,
     hopcroft_karp,
     matching_network,
     max_matching,
@@ -67,9 +66,16 @@ class CactusReport:
 
 def output_reachable_states(A: Pattern, C: Pattern) -> frozenset[int]:
     """States with a directed path to some output: the ancestors of the
-    states that some output reads."""
+    states that some output reads. Kept in A's memo for the last set of read
+    states, which outputs of one support share (alg2's probes, [C; 0])."""
     check_shapes(A, C=C)
-    return reachable(A, C.column_support(), "backward")
+    read = tuple(sorted(C.column_support()))
+    memo = A._remember()
+    kept = memo.get("reach")
+    if kept is None or kept[0] != read:
+        # held as tuples, at about a quarter of the size of two sets
+        kept = memo["reach"] = (read, tuple(reachable(A, read, "backward")))
+    return frozenset(kept[1])
 
 
 def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
@@ -112,8 +118,8 @@ def cactus_size(A: Pattern, C: Pattern) -> CactusReport:
     """Maximum number of output-reachable states covered by disjoint stems
     and cycles, with the stem count of the selected configuration."""
     g, q = cactus_bigraph(A, C)
-    cert = extremal_weight_max_matching(g, "maximize")
-    return CactusReport(*_cactus_shape(g.weight(cert), q), cert)
+    cert, weight = extremal_weight_max_matching(g, "maximize", weighed=True)
+    return CactusReport(*_cactus_shape(weight, q), cert)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,9 +176,10 @@ def spare_row_cactus(A: Pattern, C: Pattern) -> SpareRowCactus:
     g, q = cactus_bigraph(A, stack(C, Pattern(1, n)))
     net = matching_network(g, "maximize")
     flow = min_cost_max_flow(net)
-    weight = g.weight(flow_matching(g, flow))
-    size = _cactus_shape(weight, q)[0]
     offset = sum(c for _, _, c in g.edges) + 1
+    # each matched edge of cost c carries one unit at arc cost offset - c
+    weight = flow.value * offset - flow.cost
+    size = _cactus_shape(weight, q)[0]
     # a state reaches an output exactly when an edge with a cost leaves it:
     # an output edge (q > 0) or a state edge into an output-reachable state
     reachable = frozenset(r for r, _, c in g.edges if c)

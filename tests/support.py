@@ -8,7 +8,7 @@ import random
 import sys
 from pathlib import Path
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from structsys import (
     Bigraph,
@@ -20,6 +20,7 @@ from structsys import (
     PreconditionError,
     SensorPlacement,
     SfoReport,
+    SystemPattern,
     cactus_size,
     functional_states,
     grank,
@@ -30,6 +31,7 @@ from structsys import (
     stack,
     unit_row,
 )
+from structsys.cli import _TOP_KEYS, MAX_DIMENSION, SystemFileError
 from structsys.grank import output_reachable_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -547,3 +549,62 @@ def reference_rank_raising_columns(M: Pattern) -> tuple[int, frozenset[int]]:
                 marked.add(col)
                 frontier.append(col)
     return matching.size, frozenset(marked)
+
+
+# ---------------------------------------------------------------------------
+# reference system-file parse: the per-entry loop that the C-level checks of
+# structsys.cli.parse_system stand in for on well-formed arrays
+
+
+def reference_parse_system(doc: Any) -> SystemPattern:
+    if not isinstance(doc, dict):
+        raise SystemFileError("top-level value must be an object")
+    for key in doc:
+        if key not in _TOP_KEYS:
+            raise SystemFileError(f"unknown key {key!r}")
+    for key in _TOP_KEYS:
+        if key not in doc:
+            raise SystemFileError(f"missing key {key!r}")
+    dims = {}
+    for key in ("n", "m", "p", "r"):
+        value = doc[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise SystemFileError(f"field {key!r} must be a non-negative integer")
+        if value > MAX_DIMENSION:
+            raise SystemFileError(f"field {key!r} must be at most {MAX_DIMENSION}")
+        dims[key] = value
+    if dims["n"] < 1:
+        raise SystemFileError("field 'n' must be at least 1")
+
+    def entries(key: str, rows: int, cols: int) -> frozenset[tuple[int, int]]:
+        raw = doc[key]
+        if not isinstance(raw, list):
+            raise SystemFileError(f"field {key!r} must be an array of [row, col] pairs")
+        out = set()
+        for item in raw:
+            if (
+                not isinstance(item, list)
+                or len(item) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
+            ):
+                raise SystemFileError(f"field {key!r} holds a malformed entry {item!r}")
+            i, j = item
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise SystemFileError(
+                    f"field {key!r} entry [{i}, {j}] outside a {rows}x{cols} pattern"
+                )
+            out.add((i, j))
+        return frozenset(out)
+
+    def expect_empty(key: str) -> None:
+        value = doc[key]
+        if not isinstance(value, list) or value:
+            raise SystemFileError(f"field {key!r} must be an empty array when its dimension is 0")
+        return None
+
+    n, m, p, r = dims["n"], dims["m"], dims["p"], dims["r"]
+    a = Pattern(n, n, entries("A", n, n))
+    b = Pattern(n, m, entries("B", n, m)) if m else expect_empty("B")
+    c = Pattern(p, n, entries("C", p, n)) if p else expect_empty("C")
+    f = Pattern(r, n, entries("F", r, n)) if r else expect_empty("F")
+    return SystemPattern(A=a, B=b, C=c, F=f)

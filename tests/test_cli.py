@@ -24,6 +24,7 @@ from structsys import (
 )
 from structsys.cli import (
     MAX_DIMENSION,
+    SystemFileError,
     load_system,
     main,
     parse_system,
@@ -39,6 +40,7 @@ from support import (
     rand_gen_diag,
     rand_pattern,
     rand_square,
+    reference_parse_system,
 )
 
 COUNTER = fixture_path("example_counter")
@@ -97,6 +99,68 @@ def test_parse_rejections_name_the_field(mutate, message):
     mutate(doc)
     with pytest.raises(ValueError, match=message):
         parse_system(doc)
+
+
+class _Index(int):
+    """An int subclass: valid in a document, but not a plain int."""
+
+
+# each fault puts one odd value into a random array of a document
+_FAULTS = {
+    "bool": lambda rnd, entry, dims: [True, entry[1]],
+    "float": lambda rnd, entry, dims: [float(entry[0]), entry[1]],
+    "nested": lambda rnd, entry, dims: [entry, entry[1]],
+    "tuple": lambda rnd, entry, dims: tuple(entry),
+    "length 1": lambda rnd, entry, dims: entry[:1],
+    "length 3": lambda rnd, entry, dims: entry + [1],
+    "index 0": lambda rnd, entry, dims: [entry[0], 0],
+    "row past the end": lambda rnd, entry, dims: [dims[0] + 1, entry[1]],
+    "column past the end": lambda rnd, entry, dims: [entry[0], dims[1] + rnd.randint(1, 3)],
+    "negative": lambda rnd, entry, dims: [-entry[0], entry[1]],
+    "int subclass": lambda rnd, entry, dims: [_Index(entry[0]), entry[1]],
+    "duplicate": lambda rnd, entry, dims: entry,
+}
+
+
+def _seeded_document(rnd: random.Random) -> tuple[dict, list[str]]:
+    """A small system document, often with one or two faults."""
+    n, m, p, r = rnd.randint(1, 5), rnd.randint(0, 3), rnd.randint(0, 3), rnd.randint(0, 3)
+    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "F": (r, n)}
+    doc: dict = {"n": n, "m": m, "p": p, "r": r}
+    for key, (rows, cols) in shapes.items():
+        doc[key] = [
+            [rnd.randint(1, rows), rnd.randint(1, cols)]  # unsorted, repeats allowed
+            for _ in range(rnd.randint(0, 6) if rows and cols else 0)
+        ]
+    clean = {key: list(doc[key]) for key in shapes}
+    faults = rnd.sample(sorted(_FAULTS), rnd.choice((0, 1, 1, 2)))
+    for fault in faults:
+        key = rnd.choice("ABCF")
+        entry = rnd.choice(clean[key]) if clean[key] else [1, 1]
+        doc[key].insert(rnd.randint(0, len(doc[key])), _FAULTS[fault](rnd, list(entry), shapes[key]))
+    if rnd.random() < 0.03:
+        doc["A"], faults = {}, faults + ["A={}"]
+    return doc, faults
+
+
+def test_parse_system_matches_the_per_entry_loop():
+    # every document gives the reference loop's system, or its message
+    def outcome(parse, doc):
+        try:
+            return parse(doc)
+        except SystemFileError as exc:
+            return str(exc)
+
+    rnd = random.Random(20)
+    accepted, seen = 0, dict.fromkeys([*_FAULTS, "A={}"], 0)
+    for _ in range(3000):
+        doc, faults = _seeded_document(rnd)
+        ours = outcome(parse_system, doc)
+        assert ours == outcome(reference_parse_system, doc), (doc, ours)
+        accepted += not isinstance(ours, str)
+        for fault in faults:
+            seen[fault] += 1
+    assert accepted >= 600 and min(seen.values()) >= 30, (accepted, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +397,38 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_imports_load_only_what_they_run():
+    # the package loads the engine modules alone, the CLI adds diag, and every
+    # export still binds; structsys.grank stays the function it re-exports
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('structsys')))\n"
+        "import structsys\n"
+        "loaded()\n"
+        "import structsys.cli\n"
+        "loaded()\n"
+        "names = {}\n"
+        "exec('from structsys import *', names)\n"
+        "print(sorted(set(structsys.__all__) - set(names)))\n"
+        "import structsys.diag, structsys.grank, structsys.oracle, structsys.placement\n"
+        "import structsys.sfo, structsys.soc\n"
+        "print(type(structsys.grank).__name__, names['grank'] is structsys.grank)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    engine = ["structsys", "structsys.combinat", "structsys.core", "structsys.grank"]
+    assert out.stdout.splitlines() == [
+        str(engine),
+        str(sorted(engine + ["structsys.cli", "structsys.diag"])),
+        "[]",
+        "function True",
+    ]
 
 
 def test_soc_certificate_pinned(capsys):

@@ -117,7 +117,7 @@ def test_memo_is_made_on_first_use_and_not_compared():
     assert a._memo is None
     min_sensors_diag(a, Pattern(1, 3, {(1, 1), (1, 3)}))
     min_sensors_matching(a, Pattern(1, 3, {(1, 2)}))
-    assert a._remember() is a._memo and set(a._memo) == {"diag", "split", "stems"}
+    assert a._remember() is a._memo and set(a._memo) == {"diag", "split", "stems", "reach"}
     assert b._memo is None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
@@ -274,6 +274,13 @@ def test_pattern_is_a_value_over_its_entries(P, rnd):
     assert P.column_support() == reference_column_support(P)
     assert P.transpose() == reference_transpose(P)
     assert P.transpose().transpose() == P
+
+
+@given(patterns())
+def test_pattern_bigraph_matches_the_validated_bigraph(P):
+    # pattern_bigraph skips Bigraph's checks; the checked constructor, which
+    # sorts the edges itself, must build the very same graph
+    assert pattern_bigraph(P) == Bigraph(P.rows, P.cols, tuple((j, i, 0) for i, j in P.nonzeros))
 
 
 @given(st.data())

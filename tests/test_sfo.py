@@ -403,15 +403,21 @@ def test_sfo_feasible_makes_one_flow_solve_and_none_when_a_state_is_unreachable(
     assert len(solves) == 1
 
 
-def test_spare_row_cactus_makes_one_reachability_search_and_sfo_feasible_two(monkeypatch):
+def test_spare_row_cactus_makes_one_reachability_search_and_sfo_feasible_one(monkeypatch):
+    # A keeps its last search in its memo, so each part starts from a fresh copy
     searches = count_calls(monkeypatch, "reachable")
-    base = spare_row_cactus(COUNTER_A, COUNTER_C)
+    a = Pattern(4, 4, COUNTER_A.nonzeros)
+    base = spare_row_cactus(a, COUNTER_C)
     assert len(searches) == 1
-    assert base.reachable == output_reachable_states(COUNTER_A, COUNTER_C) == {1, 2, 3, 4}
+    assert base.reachable == output_reachable_states(a, COUNTER_C) == {1, 2, 3, 4}
     searches.clear()
     # every functional state is reachable, so the spare-row solve runs
-    assert not sfo_feasible(COUNTER_A, COUNTER_C, COUNTER_F)
-    assert len(searches) == 2
+    a = Pattern(4, 4, COUNTER_A.nonzeros)
+    assert not sfo_feasible(a, COUNTER_C, COUNTER_F)
+    assert len(searches) == 1
+    # outputs reading the same states, as alg2's two probes do, reuse it
+    sfo_feasible(a, Pattern(1, 4, {(1, 1), (1, 2), (1, 3), (1, 4)}), COUNTER_F)
+    assert len(searches) == 1
 
 
 def test_is_sfo_diag_matches_f_only_on_a_false_verdict_and_shares_c_with_d(monkeypatch):
