@@ -9,17 +9,8 @@ numeric and exhaustive oracles at desk scale.
 
 from importlib import import_module
 
-from .combinat import (
-    Flow,
-    FlowNetwork,
-    extremal_weight_max_matching,
-    max_matching,
-    min_cost_max_flow,
-    reachable,
-    scc,
-)
+from .combinat import reachable, scc
 from .core import (
-    Bigraph,
     Matching,
     Pattern,
     PreconditionError,
@@ -27,7 +18,6 @@ from .core import (
     dedicated_rows,
     hstack,
     identity_pattern,
-    pattern_bigraph,
     stack,
     unit_row,
 )
@@ -98,11 +88,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActuatorPlacement",
-    "Bigraph",
     "CactusReport",
     "DiagReport",
-    "Flow",
-    "FlowNetwork",
     "Linking",
     "Matching",
     "OracleConfig",
@@ -119,7 +106,6 @@ __all__ = [
     "cycle_cover_max",
     "dedicated_rows",
     "diagonalizable_majority",
-    "extremal_weight_max_matching",
     "functional_states",
     "grank",
     "hstack",
@@ -133,9 +119,7 @@ __all__ = [
     "is_soc",
     "linking_size",
     "max_linking",
-    "max_matching",
     "min_actuators_diag",
-    "min_cost_max_flow",
     "min_sensors_diag",
     "min_sensors_iterative",
     "min_sensors_matching",
@@ -144,7 +128,6 @@ __all__ = [
     "numeric_obs_rank",
     "numeric_output_controllable",
     "numeric_pbh_functional",
-    "pattern_bigraph",
     "reachable",
     "sample_field_realization",
     "sample_real_realization",

@@ -276,11 +276,10 @@ def _stack_which(sys_pat: SystemPattern, which: str) -> Pattern:
 # commands
 
 
-def _cmd_grank(args: argparse.Namespace) -> int:
-    sys_pat = load_system(args.file)
+def _cmd_grank(sys_pat: SystemPattern, args: argparse.Namespace) -> dict:
     target = _stack_which(sys_pat, args.which)
     cert = max_matching(pattern_bigraph(target))
-    report = {
+    return {
         "kind": "grank",
         "which": args.which,
         "rows": target.rows,
@@ -288,43 +287,30 @@ def _cmd_grank(args: argparse.Namespace) -> int:
         "grank": cert.size,
         "certificate": _plain(cert),
     }
-    _emit(report, args.json)
-    return 0
 
 
-def _cmd_diag(args: argparse.Namespace) -> int:
-    sys_pat = load_system(args.file)
-    rep = is_generically_diagonalizable(sys_pat.A)
-    _emit(report_dict(rep), args.json)
-    return 0
+def _cmd_diag(sys_pat: SystemPattern, args: argparse.Namespace) -> dict:
+    return report_dict(is_generically_diagonalizable(sys_pat.A))
 
 
-def _cmd_sfo(args: argparse.Namespace) -> int:
+def _cmd_sfo(sys_pat: SystemPattern, args: argparse.Namespace) -> dict:
     from .sfo import is_sfo, is_sfo_diag
 
-    sys_pat = load_system(args.file)
     if args.method == "general":
-        rep = is_sfo(sys_pat.A, sys_pat.C, sys_pat.F)
-    else:
-        rep = is_sfo_diag(sys_pat.A, sys_pat.C, sys_pat.F, args.method)
-    _emit(report_dict(rep), args.json)
-    return 0
+        return report_dict(is_sfo(sys_pat.A, sys_pat.C, sys_pat.F))
+    return report_dict(is_sfo_diag(sys_pat.A, sys_pat.C, sys_pat.F, args.method))
 
 
-def _cmd_soc(args: argparse.Namespace) -> int:
+def _cmd_soc(sys_pat: SystemPattern, args: argparse.Namespace) -> dict:
     from .soc import is_soc
 
-    sys_pat = load_system(args.file)
-    c = _require(sys_pat, "C")
-    _emit(report_dict(is_soc(sys_pat.A, sys_pat.B, c)), args.json)
-    return 0
+    return report_dict(is_soc(sys_pat.A, sys_pat.B, _require(sys_pat, "C")))
 
 
-def _cmd_place_sensors(args: argparse.Namespace) -> int:
+def _cmd_place_sensors(sys_pat: SystemPattern, args: argparse.Namespace) -> dict:
     from .placement import min_sensors_diag, min_sensors_iterative, min_sensors_matching
     from .sfo import is_sfo
 
-    sys_pat = load_system(args.file)
     f = _require(sys_pat, "F")
     if args.method == "alg1":
         rep = min_sensors_diag(sys_pat.A, f, minimize_links=args.minimize_links)
@@ -332,26 +318,19 @@ def _cmd_place_sensors(args: argparse.Namespace) -> int:
         rep = min_sensors_iterative(sys_pat.A, f)
     else:
         rep = min_sensors_matching(sys_pat.A, f)
-    report = report_dict(rep)
-    report["sfo_with_output"] = is_sfo(sys_pat.A, rep.C_out, f).verdict
-    _emit(report, args.json)
-    return 0
+    return {**report_dict(rep), "sfo_with_output": is_sfo(sys_pat.A, rep.C_out, f).verdict}
 
 
-def _cmd_place_actuators(args: argparse.Namespace) -> int:
+def _cmd_place_actuators(sys_pat: SystemPattern, args: argparse.Namespace) -> dict:
     from .placement import min_actuators_diag
     from .soc import is_soc
 
-    sys_pat = load_system(args.file)
     c = _require(sys_pat, "C")
     rep = min_actuators_diag(sys_pat.A, c)
-    report = report_dict(rep)
-    report["soc_with_input"] = is_soc(sys_pat.A, rep.B_out, c).verdict
-    _emit(report, args.json)
-    return 0
+    return {**report_dict(rep), "soc_with_input": is_soc(sys_pat.A, rep.B_out, c).verdict}
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(sys_pat: SystemPattern, args: argparse.Namespace) -> dict:
     from .oracle import (
         OracleConfig,
         diagonalizable_majority,
@@ -363,52 +342,45 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .sfo import is_sfo
     from .soc import is_soc
 
-    sys_pat = load_system(args.file)
     cfg = OracleConfig(seed=args.seed, trials=args.trials)
-    report: dict[str, Any] = {
-        "kind": "oracle",
-        "check": args.check,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
+    extra: dict[str, Any] = {}
     if args.check == "grank":
         structural = grank(sys_pat.A)
         numeric = numeric_grank(sys_pat.A, cfg)
-        report.update(structural=structural, numeric=numeric, agree=structural == numeric)
     elif args.check == "diag":
         structural = is_generically_diagonalizable(sys_pat.A).verdict
         numeric = diagonalizable_majority(sys_pat.A, cfg)
-        report.update(structural=structural, numeric=numeric, agree=structural == numeric)
     elif args.check == "sfo":
         structural = is_sfo(sys_pat.A, sys_pat.C, sys_pat.F).verdict
         rank_oc, rank_ocf = numeric_obs_rank(sys_pat.A, sys_pat.C, sys_pat.F, cfg)
         numeric = rank_oc == rank_ocf
-        report.update(
-            structural=structural,
-            numeric=numeric,
-            rank_OC=rank_oc,
-            rank_OCF=rank_ocf,
-            agree=structural == numeric,
-        )
+        extra = {"rank_OC": rank_oc, "rank_OCF": rank_ocf}
     else:  # soc
-        b = sys_pat.B
-        c = _require(sys_pat, "C")
-        rep = is_soc(sys_pat.A, b, c)
-        numeric = False
-        for t in range(cfg.trials):
-            a_real = sample_field_realization(sys_pat.A, cfg, t, stream=1)
-            b_real = sample_field_realization(b, cfg, t, stream=2)
-            c_real = sample_field_realization(c, cfg, t, stream=3)
-            if numeric_output_controllable(a_real, b_real, c_real, cfg):
-                numeric = True
-                break
-        report.update(
-            structural=rep.verdict,
-            numeric=numeric,
-            agree=None if rep.verdict == "undecidable" else (rep.verdict == "soc") == numeric,
+        b, c = sys_pat.B, _require(sys_pat, "C")
+        structural = is_soc(sys_pat.A, b, c).verdict
+        numeric = any(
+            numeric_output_controllable(
+                sample_field_realization(sys_pat.A, cfg, t, stream=1),
+                sample_field_realization(b, cfg, t, stream=2),
+                sample_field_realization(c, cfg, t, stream=3),
+                cfg,
+            )
+            for t in range(cfg.trials)
         )
-    _emit(report, args.json)
-    return 0
+    if args.check != "soc":
+        agree = structural == numeric
+    else:
+        agree = None if structural == "undecidable" else (structural == "soc") == numeric
+    return {
+        "kind": "oracle",
+        "check": args.check,
+        "trials": args.trials,
+        "seed": args.seed,
+        "structural": structural,
+        "numeric": numeric,
+        **extra,
+        "agree": agree,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +463,9 @@ def dot_flow(sys_pat: SystemPattern) -> str:
     return _dot_two_layer("flow", label, b, sys_pat.A, c, linking, True)
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
-    sys_pat = load_system(args.file)
-    if args.graph == "system":
-        sys.stdout.write(dot_system(sys_pat))
-    elif args.graph == "linking":
-        sys.stdout.write(dot_linking(sys_pat))
-    else:
-        sys.stdout.write(dot_flow(sys_pat))
-    return 0
+def _cmd_export_dot(sys_pat: SystemPattern, args: argparse.Namespace) -> str:
+    # looked up when it runs, so a writer rebound on the module is the one called
+    return globals()[f"dot_{args.graph}"](sys_pat)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +527,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        result = args.func(load_system(args.file), args)
+        if isinstance(result, str):
+            sys.stdout.write(result)
+        else:
+            _emit(result, args.json)
+        return 0
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2

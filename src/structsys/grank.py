@@ -180,9 +180,8 @@ def spare_row_cactus(A: Pattern, C: Pattern) -> SpareRowCactus:
     # each matched edge of cost c carries one unit at arc cost offset - c
     weight = flow.value * offset - flow.cost
     size = _cactus_shape(weight, q)[0]
-    # a state reaches an output exactly when an edge with a cost leaves it:
-    # an output edge (q > 0) or a state edge into an output-reachable state
-    reachable = frozenset(r for r, _, c in g.edges if c)
+    # [C; 0] reads the states C reads: the memo entry cactus_bigraph just wrote
+    reachable = output_reachable_states(A, C)
     return SpareRowCactus(size, weight, q, reachable, net, flow, offset)
 
 

@@ -11,9 +11,6 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from structsys import (
-    Bigraph,
-    Flow,
-    FlowNetwork,
     Linking,
     Matching,
     Pattern,
@@ -26,12 +23,12 @@ from structsys import (
     grank,
     identity_pattern,
     is_generically_diagonalizable,
-    min_cost_max_flow,
-    pattern_bigraph,
     stack,
     unit_row,
 )
 from structsys.cli import _TOP_KEYS, MAX_DIMENSION, SystemFileError
+from structsys.combinat import Flow, FlowNetwork, min_cost_max_flow
+from structsys.core import Bigraph, pattern_bigraph
 from structsys.grank import output_reachable_states
 
 FIXTURES = Path(__file__).parent / "fixtures"

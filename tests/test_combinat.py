@@ -8,23 +8,24 @@ import random
 import pytest
 
 from structsys import (
-    Bigraph,
-    Flow,
-    FlowNetwork,
     Matching,
     Pattern,
-    extremal_weight_max_matching,
     hstack,
     identity_pattern,
-    max_matching,
-    min_cost_max_flow,
-    pattern_bigraph,
     reachable,
     scc,
     stack,
 )
 from structsys.cli import parse_system
-from structsys.combinat import hopcroft_karp
+from structsys.combinat import (
+    Flow,
+    FlowNetwork,
+    extremal_weight_max_matching,
+    hopcroft_karp,
+    max_matching,
+    min_cost_max_flow,
+)
+from structsys.core import Bigraph, pattern_bigraph
 from structsys.diag import loop_augmented_bigraph
 from structsys.grank import linking_network, output_reachable_states, rank_raising_columns
 from structsys.soc import input_reachable_restriction

@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from structsys import (
-    Bigraph,
     Matching,
     Pattern,
     SystemPattern,
@@ -22,10 +21,10 @@ from structsys import (
     is_generically_diagonalizable,
     min_sensors_diag,
     min_sensors_matching,
-    pattern_bigraph,
     stack,
     unit_row,
 )
+from structsys.core import Bigraph, pattern_bigraph
 from support import (
     COUNTER_A,
     COUNTER_C,

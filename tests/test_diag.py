@@ -74,7 +74,8 @@ def test_report_invariants_random():
 
 def test_certificate_components_decodes_plain_matchings_too():
     # a maximum matching of a chain decomposes into one nonzero-length path
-    from structsys import max_matching, pattern_bigraph
+    from structsys.combinat import max_matching
+    from structsys.core import pattern_bigraph
 
     chain = Pattern(3, 3, {(2, 1), (3, 2)})
     m = max_matching(pattern_bigraph(chain))

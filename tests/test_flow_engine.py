@@ -10,17 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from structsys import (
-    Bigraph,
-    Flow,
-    FlowNetwork,
-    Matching,
-    extremal_weight_max_matching,
-    identity_pattern,
-    min_cost_max_flow,
-)
+from structsys import Matching, identity_pattern
+from structsys.combinat import Flow, FlowNetwork, extremal_weight_max_matching, min_cost_max_flow
 from structsys.combinat import matching_network as library_matching_network
 from structsys.combinat import flow_matching, residual_distances
+from structsys.core import Bigraph
 from structsys.grank import cactus_bigraph, linking_network
 from support import bellman_ford_min_cost_max_flow, rand_pattern, reference_cactus_bigraph
 

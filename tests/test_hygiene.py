@@ -160,3 +160,39 @@ def test_the_self_call_check_sees_direct_nested_and_method_recursion(tmp_path):
         encoding="utf-8",
     )
     assert _self_calls(module) == ["probe.py:2 walk", "probe.py:5 inner", "probe.py:9 depth"]
+
+
+def _functions(tree: ast.Module):
+    """Top-level functions and methods, as (qualified name, node) pairs."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_cli_main_alone_loads_and_emits():
+    # main loads the system file, runs one command and writes what it
+    # returns; the commands only analyse. _Parser.error prints argparse's
+    # usage message, raised from within main's parse_args.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    callers, writers = set(), set()
+    for name, fn in _functions(tree):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in ("load_system", "_emit"):
+                    callers.add(name)
+                if node.func.id == "print":
+                    writers.add(name)
+            stream = (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("stdout", "stderr")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            )
+            if stream:
+                writers.add(name)
+    assert callers == {"main"}
+    assert writers == {"main", "_emit", "_Parser.error"}

@@ -18,12 +18,12 @@ from structsys import (
     is_generically_diagonalizable,
     is_soc,
     max_linking,
-    min_cost_max_flow,
     numeric_output_controllable,
     sample_field_realization,
     unit_row,
 )
 from structsys.cli import parse_system
+from structsys.combinat import min_cost_max_flow
 from structsys.grank import linking_network, output_reachable_states
 from structsys.soc import input_reachable_states
 from support import (
