@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .core import Bigraph, Matching, Pattern, check_shapes
+from .core import Bigraph, Matching, Pattern, check_shapes, check_states
 
 _INF = 1 << 60
 
@@ -321,8 +321,6 @@ def extremal_weight_max_matching(
     """Maximum-cardinality matching of minimum or maximum total cost, from a
     minimum-cost maximum flow of :func:`matching_network`. ``weighed`` also
     returns that total cost, read off the flow's value and cost."""
-    if not g.edges:
-        return (Matching(()), 0) if weighed else Matching(())
     flow = min_cost_max_flow(matching_network(g, sense))
     matching = flow_matching(g, flow)
     if not weighed:
@@ -413,10 +411,7 @@ def reachable(
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     n = check_shapes(A)
-    frontier = sorted(set(seeds))
-    for s in frontier:
-        if not 1 <= s <= n:
-            raise ValueError(f"state index {s} out of range 1..{n}")
+    frontier = check_states(n, seeds)
     adj = _successors(A, reverse=direction == "backward")
     seen = set(frontier)
     while frontier:

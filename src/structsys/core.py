@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 
 class PreconditionError(ValueError):
@@ -19,6 +19,7 @@ class PreconditionError(ValueError):
 
 
 Entry = tuple[int, int]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -35,9 +36,8 @@ class Pattern:
     and zero-column patterns are legal; so is the all-zero pattern.
 
     Two private slots, neither compared nor shown: ``_columns`` keeps
-    :meth:`column_support`, and ``_memo`` is a dict, made on first use by
-    :meth:`_remember`, in which analyses of this object keep what another
-    call on it can reuse.
+    :meth:`column_support`, and ``_memo`` holds what analyses of this object
+    keep for another call on it, read and written only by :meth:`_recall`.
     """
 
     rows: int
@@ -105,22 +105,22 @@ class Pattern:
             object.__setattr__(self, "_columns", frozenset(self.flat[1::2]))
         return self._columns
 
-    def _remember(self) -> dict:
-        """This object's memo, made on first use. Each analysis keeps one
-        entry under its own key and replaces it when asked about other
-        inputs, so the memo never grows past one entry per key."""
+    def _recall(self, name: str, key: object, compute: Callable[[], T]) -> T:
+        """What ``compute()`` gave when analysis ``name`` last ran on this
+        object for an equal ``key``; otherwise ``compute()``, kept as the one
+        entry under ``name``. The memo dict is made on first use."""
         if self._memo is None:
             object.__setattr__(self, "_memo", {})
-        return self._memo
+        kept = self._memo.get(name)
+        if kept is None or kept[0] != key:
+            kept = self._memo[name] = (key, compute())
+        return kept[1]
 
     def induced(self, states: Iterable[int]) -> "Pattern":
         """Square subpattern on the given row/column indices, reindexed to 1..k."""
         if not self.is_square:
             raise ValueError("induced subpattern requires a square pattern")
-        keep = sorted(set(states))
-        for s in keep:
-            if not 1 <= s <= self.rows:
-                raise ValueError(f"state index {s} out of range 1..{self.rows}")
+        keep = check_states(self.rows, states)
         pos = {s: k + 1 for k, s in enumerate(keep)}
         # the renumbering keeps order, so the filtered entries stay sorted
         sub = _flatten(
@@ -210,11 +210,17 @@ def identity_pattern(n: int) -> Pattern:
 
 def dedicated_rows(n: int, states: Iterable[int]) -> Pattern:
     """One dedicated row per state in ``states`` (ascending), each with one entry."""
+    ordered = check_states(n, states)
+    return Pattern(len(ordered), n, frozenset((k + 1, s) for k, s in enumerate(ordered)))
+
+
+def check_states(n: int, states: Iterable[int]) -> list[int]:
+    """The distinct states, ascending; ``ValueError`` names the smallest outside 1..n."""
     ordered = sorted(set(states))
     for s in ordered:
         if not 1 <= s <= n:
             raise ValueError(f"state index {s} out of range 1..{n}")
-    return Pattern(len(ordered), n, frozenset((k + 1, s) for k, s in enumerate(ordered)))
+    return ordered
 
 
 def check_shapes(

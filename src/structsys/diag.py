@@ -54,25 +54,24 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
     maximum, equivalently when the minimum weight of a maximum matching of
     the loop-augmented bigraph equals n minus the generic rank.
 
-    The report is kept in the memo of ``A`` itself, so every later call on
-    the same pattern object returns it without solving again; an equal but
-    distinct pattern pays for its own solve.
+    The report is kept in ``A``'s memo, so a later call on the same pattern
+    object returns it without solving again.
     """
-    n = check_shapes(A)
-    memo = A._remember()
-    if "diag" not in memo:
+    def solve() -> DiagReport:
+        n = check_shapes(A)
         g = loop_augmented_bigraph(A)
         cert, weight = extremal_weight_max_matching(g, "minimize", weighed=True)
         v = n - weight
         gr = grank(A)
-        memo["diag"] = DiagReport(
+        return DiagReport(
             verdict=gr == v,
             grank_A=gr,
             v_A=v,
             mwmm_weight=weight,
             certificate=cert,
         )
-    return memo["diag"]
+
+    return A._recall("diag", None, solve)
 
 
 def cycle_cover_max(A: Pattern) -> int:

@@ -70,12 +70,8 @@ def output_reachable_states(A: Pattern, C: Pattern) -> frozenset[int]:
     states, which outputs of one support share (alg2's probes, [C; 0])."""
     check_shapes(A, C=C)
     read = tuple(sorted(C.column_support()))
-    memo = A._remember()
-    kept = memo.get("reach")
-    if kept is None or kept[0] != read:
-        # held as tuples, at about a quarter of the size of two sets
-        kept = memo["reach"] = (read, tuple(reachable(A, read, "backward")))
-    return frozenset(kept[1])
+    # held as tuples, at about a quarter of the size of two sets
+    return frozenset(A._recall("reach", read, lambda: tuple(reachable(A, read, "backward"))))
 
 
 def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:

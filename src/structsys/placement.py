@@ -96,7 +96,7 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
             "use min_sensors_iterative or min_sensors_matching instead"
         )
     n = A.rows
-    x_s, x_f_u = _matched_split(A, x_f)
+    x_s, x_f_u = A._recall("split", x_f, lambda: _matched_split(A, x_f))
     rows = max(1, len(x_f_u))
     entries: set[tuple[int, int]] = set()
     for k, state in enumerate(sorted(x_f_u)):
@@ -122,30 +122,24 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
 def _matched_split(A: Pattern, x_f: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
     """(X_S, X_F_unmatched): the functional states a minimum-weight maximum
     matching of A, costing 1 on every edge leaving a functional state,
-    matches on the right, and the rest. Kept in A's memo for the last x_f."""
-    memo = A._remember()
-    split = memo.get("split")
-    if split is None or split[0] != x_f:
-        n = A.rows
-        edges = tuple((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros())
-        x_s = x_f & extremal_weight_max_matching(Bigraph(n, n, edges), "minimize").right_matched()
-        split = memo["split"] = (x_f, x_s, x_f - x_s)
-    return split[1], split[2]
+    matches on the right, and the rest."""
+    n = A.rows
+    edges = tuple((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros())
+    x_s = x_f & extremal_weight_max_matching(Bigraph(n, n, edges), "minimize").right_matched()
+    return x_s, x_f - x_s
 
 
 def _stem_states(A: Pattern, x_f: frozenset[int]) -> tuple[int, ...]:
     """The states, ascending, whose stems end in an output in the maximum
     cactus of A with one dedicated row per functional state. Kept in A's
     memo for the last x_f."""
-    memo = A._remember()
-    stems = memo.get("stems")
-    if stems is None or stems[0] != x_f:
+    def stems() -> tuple[int, ...]:
         n = A.rows
         cert = cactus_size(A, dedicated_rows(n, x_f)).certificate.flat
         # the certificate lists its edges by ascending right vertex (state)
-        x_h = tuple(r for r, l in zip(cert[::2], cert[1::2]) if l > n)
-        stems = memo["stems"] = (x_f, x_h)
-    return stems[1]
+        return tuple(r for r, l in zip(cert[::2], cert[1::2]) if l > n)
+
+    return A._recall("stems", x_f, stems)
 
 
 def _drop_redundant_links(

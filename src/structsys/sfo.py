@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import Pattern, PreconditionError, check_shapes, shares_empty_sets, stack
+from .core import Pattern, PreconditionError, check_shapes, check_states, shares_empty_sets, stack
 from .diag import is_generically_diagonalizable
 from .grank import (
     cactus_size,
@@ -95,9 +95,7 @@ def in_minimal_dilation(A: Pattern, C: Pattern, i: int) -> bool:
     raises the generic rank of the stacked state/output pattern exactly when
     the state sits in some minimal dilation.
     """
-    n = check_shapes(A, C=C)
-    if not 1 <= i <= n:
-        raise ValueError(f"state index {i} out of range 1..{n}")
+    check_states(check_shapes(A, C=C), [i])
     return i in rank_raising_columns(stack(A, C))[1]
 
 
@@ -121,16 +119,16 @@ def is_sfo_diag(A: Pattern, C: Pattern, F: Pattern, condition: Condition) -> Sfo
             "state pattern is not generically diagonalizable; "
             "the simplified criteria require that assumption (use is_sfo instead)"
         )
-    memo = A._remember()
-    kept = memo.get("sfo")
-    if kept is None or kept[0] != (C, F):
+
+    def solve() -> tuple:
         x_f = functional_states(F)
         base = stack(A, C)
         gr_ac, raising = rank_raising_columns(base)
         failing = x_f & raising
         gr_acf = grank(stack(base, F)) if failing else gr_ac
-        kept = memo["sfo"] = ((C, F), x_f, x_f - output_reachable_states(A, C), gr_ac, gr_acf, failing)
-    _, x_f, unreachable, gr_ac, gr_acf, failing = kept
+        return x_f, x_f - output_reachable_states(A, C), gr_ac, gr_acf, failing
+
+    x_f, unreachable, gr_ac, gr_acf, failing = A._recall("sfo", (C, F), solve)
     method = {"b": "diag-rank", "c": "diag-per-state", "d": "diag-dilation"}[condition]
     return SfoReport(not unreachable and not failing, method, x_f, unreachable, gr_ac, gr_acf, failing)
 

@@ -224,6 +224,7 @@ def test_extremal_two_parallel_matchings():
     assert g.weight(hi) == 7 and hi.edges == {(1, 2), (2, 1)}
     for sense in ("minimize", "maximize"):
         assert extremal_weight_max_matching(Bigraph(2, 2, ()), sense).size == 0
+        assert extremal_weight_max_matching(Bigraph(2, 2, ()), sense, weighed=True) == (Matching(()), 0)
 
 
 def test_extremal_matches_enumeration():

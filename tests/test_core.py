@@ -116,9 +116,21 @@ def test_memo_is_made_on_first_use_and_not_compared():
     assert a._memo is None
     min_sensors_diag(a, Pattern(1, 3, {(1, 1), (1, 3)}))
     min_sensors_matching(a, Pattern(1, 3, {(1, 2)}))
-    assert a._remember() is a._memo and set(a._memo) == {"diag", "split", "stems", "reach"}
+    assert set(a._memo) == {"diag", "split", "stems", "reach"}
     assert b._memo is None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    # an equal key gives back the kept object without computing it again
+    kept = a._recall("probe", (1, 2), lambda: [1])
+    assert a._recall("probe", (1, 2), lambda: pytest.fail("recomputed")) is kept
+    assert is_generically_diagonalizable(a) is is_generically_diagonalizable(a)
+    # another key computes and replaces the entry: one entry per name
+    assert a._recall("probe", (3,), lambda: [2]) == [2] and a._memo["probe"] == ((3,), [2])
+    assert a._recall("probe", (1, 2), lambda: [3]) == [3]
+    assert set(a._memo) == {"diag", "split", "stems", "reach", "probe"}
+    # an equal twin keeps its own memo
+    assert b._recall("probe", (1, 2), lambda: [4]) == [4] and a._memo["probe"] == ((1, 2), [3])
+    assert b._memo == {"probe": ((1, 2), [4])}
+    assert is_generically_diagonalizable(b) is not is_generically_diagonalizable(a)
 
 
 def test_pattern_bigraph_diagonal():
@@ -181,7 +193,7 @@ def test_induced_and_zeroed():
     assert a.induced([1, 2]) == Pattern(2, 2, {(1, 2), (2, 1)})
     assert a.induced([3]) == Pattern(1, 1, {(1, 1)})
     # a state that does not exist is an error, not an isolated state
-    for bad, first in (([0, 2, 99], 0), ([1, 2, 99], 99)):
+    for bad, first in (([0, 2, 99], 0), ([1, 2, 99], 99), ([1, 5, 7], 5)):
         with pytest.raises(ValueError, match=re.escape(f"state index {first} out of range 1..3")):
             a.induced(bad)
     with pytest.raises(ValueError, match="out of range"):

@@ -4,8 +4,9 @@ top-level names and its recursion.
 No linter ships with the package, so these checks read the sources with
 ``ast``: an import that nothing uses is dead code, an export list that
 names something missing breaks ``from structsys import *``, a name
-defined in two modules is one definition too many, and an engine that
-calls itself can raise ``RecursionError`` on a deep enough input.
+defined in two modules is one definition too many, an engine that
+calls itself can raise ``RecursionError`` on a deep enough input, and a
+module that handles a pattern's memo itself writes a second cache policy.
 """
 
 from __future__ import annotations
@@ -196,3 +197,19 @@ def test_cli_main_alone_loads_and_emits():
                 writers.add(name)
     assert callers == {"main"}
     assert writers == {"main", "_emit", "_Parser.error"}
+
+
+def _memo_handlers(path: Path) -> list[str]:
+    """Places that read a pattern's ``_memo`` or call ``_remember``."""
+    return [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("_memo", "_remember")
+    ]
+
+
+def test_only_core_handles_the_pattern_memo():
+    # every other module keeps what it reuses through Pattern._recall
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"]
+    assert len(modules) >= 9
+    assert [hit for path in modules for hit in _memo_handlers(path)] == []
