@@ -27,11 +27,12 @@ class FlowNetwork:
     sink: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(tuple(a) for a in self.arcs))
+        arcs, nodes = tuple(map(tuple, self.arcs)), self.nodes
+        object.__setattr__(self, "arcs", arcs)
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        for tail, head, cap, cost in self.arcs:
-            if not (0 <= tail < self.nodes and 0 <= head < self.nodes):
+        for tail, head, cap, cost in arcs:
+            if not (0 <= tail < nodes and 0 <= head < nodes):
                 raise ValueError(f"arc ({tail},{head}) endpoint out of range")
             if cap < 0 or cost < 0:
                 raise ValueError(f"arc ({tail},{head}) needs non-negative capacity and cost")
@@ -84,14 +85,16 @@ def _dijkstra(
     left, under reduced costs ``cost + pot[tail] - pot[head]``, which must be
     non-negative. Returns the reduced distance of every node, ``_INF`` where
     none is known; the search ends once node ``stop`` is settled (pass -1 to
-    settle every reachable node). The heap is keyed on ``(distance, node)``
-    and edges are scanned in index order."""
-    dist = [_INF] * len(adj)
+    settle every reachable node). The heap holds one int per entry,
+    ``distance * nodes + node``, which orders as ``(distance, node)`` does
+    without a tuple per push; edges are scanned in index order."""
+    nodes = len(adj)
+    dist = [_INF] * nodes
     dist[origin] = 0
-    heap = [(0, origin)]
+    heap = [origin]
     heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        d, u = heappop(heap)
+        d, u = divmod(heappop(heap), nodes)
         if d > dist[u]:
             continue
         if u == stop:
@@ -103,83 +106,93 @@ def _dijkstra(
                 nd = base + rcost[e] - pot[v]
                 if nd < dist[v]:
                     dist[v] = nd
-                    heappush(heap, (nd, v))
+                    heappush(heap, nd * nodes + v)
     return dist
 
 
 def min_cost_max_flow(net: FlowNetwork) -> Flow:
     """Maximum flow of minimum cost, by the primal-dual method.
 
-    Each phase runs one Dijkstra search on reduced costs under node
-    potentials (Edmonds-Karp 1972, Tomizawa 1971). The search stops once the
-    sink is settled and every potential then grows by ``min(dist, dist[sink])``,
-    which keeps all residual reduced costs non-negative and gives every
-    shortest path reduced cost zero. The phase then augments along paths of
-    zero-reduced-cost arcs by blocking flows until none is left (Ahuja,
-    Magnanti & Orlin, *Network Flows*, 1993, ch. 9; Hopcroft & Karp 1973):
-    BFS levels from the source, then a search back from the sink along
-    level-decreasing arcs, with a current-arc pointer per node and dead
-    nodes dropped. Input costs are non-negative, so every run starts cold,
-    from zero potentials; on a matching network the first phase already
-    finds a maximum matching on the cheapest edge class.
+    The run starts cold, from zero potentials (input costs are
+    non-negative), and alternates two steps (Edmonds-Karp 1972, Tomizawa
+    1971; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9):
+
+    - Blocking flows on the arcs of zero reduced cost
+      ``cost + pi[tail] - pi[head]``, until none reaches the sink (Hopcroft
+      & Karp 1973): BFS levels from the source, then a search back from the
+      sink along level-decreasing arcs, with a current-arc pointer per node
+      and dead nodes dropped.
+    - Then one Dijkstra search on reduced costs, which stops once the sink
+      is settled; every potential grows by ``min(dist, dist[sink])``, which
+      keeps all residual reduced costs non-negative and gives every shortest
+      path reduced cost zero. A sink out of reach ends the run.
+
+    Blocking flows come first because a search that finds the sink at
+    distance 0 would leave the potentials as they are, so the first search
+    runs only once no zero-cost path is left. The run also stops as soon as
+    the flow value reaches the capacity out of the source or into the sink,
+    whichever is smaller: no augmenting path can exist then, so the failing
+    BFS and search that would close the run are skipped.
 
     The result is deterministic: arcs are scanned in index order, the heap
-    is keyed on ``(distance, node)``, and where several optima tie, the
-    search back from the sink takes at every node the admissible arc of
-    lowest index.
+    orders by distance then node, and where several optima tie, the search
+    back from the sink takes at every node the admissible arc of lowest
+    index.
     """
     nodes, source, sink = net.nodes, net.source, net.sink
     head, rcap, rcost, adj = _residual(net)
     pot = [0] * nodes
-    while True:
-        dist = _dijkstra(head, rcap, rcost, adj, pot, source, sink)
-        reach = dist[sink]
-        if reach >= _INF:
-            break
-        for v in range(nodes):
-            dv = dist[v]
-            pot[v] += dv if dv < reach else reach
-        while True:  # blocking flows on the arcs of zero reduced cost
-            level = [-1] * nodes
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                lu, pu = level[u] + 1, pot[u]
-                for e in adj[u]:
-                    v = head[e]
-                    if rcap[e] and level[v] < 0 and rcost[e] + pu == pot[v]:
-                        level[v] = lu
-                        queue.append(v)
-                if level[sink] >= 0:
-                    break
-            else:  # the sink is out of reach: the phase is over
+    # no flow exceeds the capacity leaving the source or entering the sink
+    left = min(sum(rcap[e] for e in adj[source]), sum(rcap[e ^ 1] for e in adj[sink]))
+    while left:
+        level = [-1] * nodes  # BFS levels on the arcs of zero reduced cost
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            lu, pu = level[u] + 1, pot[u]
+            for e in adj[u]:
+                v = head[e]
+                if rcap[e] and level[v] < 0 and rcost[e] + pu == pot[v]:
+                    level[v] = lu
+                    queue.append(v)
+            if level[sink] >= 0:
                 break
-            cursor = [0] * nodes
-            path: list[int] = []  # edges from the current node back to the sink
-            while True:
-                v = head[path[-1] ^ 1] if path else sink
-                if v == source:
-                    bottleneck = min(rcap[e] for e in path)
-                    for e in path:
-                        rcap[e] -= bottleneck
-                        rcap[e ^ 1] += bottleneck
-                    path = []
-                    continue
-                out, i = adj[v], cursor[v]
-                lu, pv = level[v] - 1, pot[v]
-                while i < len(out):
-                    u, e = head[out[i]], out[i] ^ 1
-                    if rcap[e] and level[u] == lu and rcost[e] + pot[u] == pv:
-                        break
-                    i += 1
-                cursor[v] = i
-                if i < len(out):
-                    path.append(e)
-                elif path:  # dead end: drop the node and step back
-                    level[v] = -1
-                    path.pop()
-                else:
+        else:  # the sink is out of reach: raise the potentials
+            dist = _dijkstra(head, rcap, rcost, adj, pot, source, sink)
+            reach = dist[sink]
+            if reach >= _INF:
+                break
+            pot = [p + (d if d < reach else reach) for p, d in zip(pot, dist)]
+            continue
+        cursor = [0] * nodes
+        path: list[int] = []  # edges from the current node back to the sink
+        while True:
+            v = head[path[-1] ^ 1] if path else sink
+            if v == source:
+                bottleneck = min(rcap[e] for e in path)
+                for e in path:
+                    rcap[e] -= bottleneck
+                    rcap[e ^ 1] += bottleneck
+                left -= bottleneck
+                if not left:
                     break
+                path = []
+                continue
+            out, i = adj[v], cursor[v]
+            lu, pv = level[v] - 1, pot[v]
+            while i < len(out):
+                u, e = head[out[i]], out[i] ^ 1
+                if rcap[e] and level[u] == lu and rcost[e] + pot[u] == pv:
+                    break
+                i += 1
+            cursor[v] = i
+            if i < len(out):
+                path.append(e)
+            elif path:  # dead end: drop the node and step back
+                level[v] = -1
+                path.pop()
+            else:
+                break
     flow = rcap[1::2]
     # net outflow of the source: flow on its out-arcs less flow on its in-arcs
     value = sum(rcap[e + 1] if e % 2 == 0 else -rcap[e] for e in adj[source])

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 import importlib.util
 import json
 import random
 import sys
 from pathlib import Path
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 from structsys import (
     Linking,
@@ -26,10 +27,12 @@ from structsys import (
     stack,
     unit_row,
 )
-from structsys.cli import _TOP_KEYS, MAX_DIMENSION, SystemFileError
-from structsys.combinat import Flow, FlowNetwork, min_cost_max_flow
+from structsys.cli import _TOP_KEYS, MAX_DIMENSION, SystemFileError, parse_system
+from structsys.combinat import Flow, FlowNetwork, _residual, matching_network, min_cost_max_flow
 from structsys.core import Bigraph, pattern_bigraph
-from structsys.grank import output_reachable_states
+from structsys.diag import loop_augmented_bigraph
+from structsys.grank import cactus_bigraph, linking_network, output_reachable_states
+from structsys.soc import input_reachable_restriction
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_GEN = Path(__file__).parents[1] / "bench" / "gen.py"
@@ -192,6 +195,142 @@ def bellman_ford_min_cost_max_flow(net: FlowNetwork) -> Flow:
     return Flow(tuple(flow), value, cost)
 
 
+# ---------------------------------------------------------------------------
+# reference primal-dual engine: the Dijkstra-first loop with a tuple-keyed
+# heap, kept verbatim so that the engine's flows, values, costs, potentials
+# and Dijkstra search counts can be checked against it
+
+
+def reference_dijkstra(
+    head: list[int],
+    rcap: list[int],
+    rcost: list[int],
+    adj: list[list[int]],
+    pot: Sequence[int],
+    origin: int,
+    stop: int,
+) -> list[int]:
+    """Dijkstra search from ``origin`` on the residual edges with capacity
+    left, under reduced costs ``cost + pot[tail] - pot[head]``, which must be
+    non-negative. Returns the reduced distance of every node, ``_INF`` where
+    none is known; the search ends once node ``stop`` is settled (pass -1 to
+    settle every reachable node). The heap is keyed on ``(distance, node)``
+    and edges are scanned in index order."""
+    dist = [_INF] * len(adj)
+    dist[origin] = 0
+    heap = [(0, origin)]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == stop:
+            break
+        base = d + pot[u]
+        for e in adj[u]:
+            if rcap[e]:
+                v = head[e]
+                nd = base + rcost[e] - pot[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+    return dist
+
+
+def reference_min_cost_max_flow(net: FlowNetwork) -> Flow:
+    """Maximum flow of minimum cost, by the primal-dual method.
+
+    Each phase runs one Dijkstra search on reduced costs under node
+    potentials (Edmonds-Karp 1972, Tomizawa 1971). The search stops once the
+    sink is settled and every potential then grows by ``min(dist, dist[sink])``,
+    which keeps all residual reduced costs non-negative and gives every
+    shortest path reduced cost zero. The phase then augments along paths of
+    zero-reduced-cost arcs by blocking flows until none is left (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, ch. 9; Hopcroft & Karp 1973):
+    BFS levels from the source, then a search back from the sink along
+    level-decreasing arcs, with a current-arc pointer per node and dead
+    nodes dropped. Input costs are non-negative, so every run starts cold,
+    from zero potentials; on a matching network the first phase already
+    finds a maximum matching on the cheapest edge class.
+
+    The result is deterministic: arcs are scanned in index order, the heap
+    is keyed on ``(distance, node)``, and where several optima tie, the
+    search back from the sink takes at every node the admissible arc of
+    lowest index.
+    """
+    nodes, source, sink = net.nodes, net.source, net.sink
+    head, rcap, rcost, adj = _residual(net)
+    pot = [0] * nodes
+    while True:
+        dist = reference_dijkstra(head, rcap, rcost, adj, pot, source, sink)
+        reach = dist[sink]
+        if reach >= _INF:
+            break
+        for v in range(nodes):
+            dv = dist[v]
+            pot[v] += dv if dv < reach else reach
+        while True:  # blocking flows on the arcs of zero reduced cost
+            level = [-1] * nodes
+            level[source] = 0
+            queue = [source]
+            for u in queue:
+                lu, pu = level[u] + 1, pot[u]
+                for e in adj[u]:
+                    v = head[e]
+                    if rcap[e] and level[v] < 0 and rcost[e] + pu == pot[v]:
+                        level[v] = lu
+                        queue.append(v)
+                if level[sink] >= 0:
+                    break
+            else:  # the sink is out of reach: the phase is over
+                break
+            cursor = [0] * nodes
+            path: list[int] = []  # edges from the current node back to the sink
+            while True:
+                v = head[path[-1] ^ 1] if path else sink
+                if v == source:
+                    bottleneck = min(rcap[e] for e in path)
+                    for e in path:
+                        rcap[e] -= bottleneck
+                        rcap[e ^ 1] += bottleneck
+                    path = []
+                    continue
+                out, i = adj[v], cursor[v]
+                lu, pv = level[v] - 1, pot[v]
+                while i < len(out):
+                    u, e = head[out[i]], out[i] ^ 1
+                    if rcap[e] and level[u] == lu and rcost[e] + pot[u] == pv:
+                        break
+                    i += 1
+                cursor[v] = i
+                if i < len(out):
+                    path.append(e)
+                elif path:  # dead end: drop the node and step back
+                    level[v] = -1
+                    path.pop()
+                else:
+                    break
+    flow = rcap[1::2]
+    # net outflow of the source: flow on its out-arcs less flow on its in-arcs
+    value = sum(rcap[e + 1] if e % 2 == 0 else -rcap[e] for e in adj[source])
+    cost = sum(f * a[3] for f, a in zip(flow, net.arcs))
+    return Flow(tuple(flow), value, cost, tuple(pot))
+
+
+
+def count_searches(monkeypatch) -> tuple[list, list]:
+    """Make every Dijkstra search of the engine and of
+    :func:`reference_min_cost_max_flow` append its first argument to the
+    first and to the second returned list."""
+    real = reference_dijkstra
+    reference: list = []
+
+    def counting(*args):
+        reference.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(sys.modules[__name__], "reference_dijkstra", counting)
+    return count_calls(monkeypatch, "_dijkstra"), reference
 
 def count_calls(monkeypatch, engine: str) -> list:
     """Make every call of the ``structsys.combinat`` function ``engine``
@@ -374,6 +513,30 @@ def bench_gen():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_family_networks() -> Iterator[tuple[str, FlowNetwork]]:
+    """Every flow network the 200 benchmark systems (``verdicts_family()``
+    then ``placement_family()``) build, with its kind: the diag network, the
+    cactus of (A, [C; F]), the spare-row cactus of (A, [C; 0]), the input
+    cactus, the matched-split network of F's states, and the linking
+    networks of SOC (input cost 0) and actuator placement (input cost 1).
+    Networks are made one at a time, so none is held."""
+    gen = bench_gen()
+    for doc in gen.verdicts_family() + gen.placement_family():
+        sys_pat = parse_system(doc)
+        n, A, B, C, F = sys_pat.n, sys_pat.A, sys_pat.B, sys_pat.C, sys_pat.F
+        yield "diag", matching_network(loop_augmented_bigraph(A), "minimize")
+        yield "cactus", matching_network(cactus_bigraph(A, stack(C, F))[0], "maximize")
+        spare = cactus_bigraph(A, stack(C, Pattern(1, n)))[0]
+        yield "spare-row", matching_network(spare, "maximize")
+        dual = cactus_bigraph(A.transpose(), B.transpose())[0]
+        yield "input cactus", matching_network(dual, "maximize")
+        x_f = F.column_support()
+        split = tuple((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros())
+        yield "split", matching_network(Bigraph(n, n, split), "minimize")
+        yield "linking 0", linking_network(input_reachable_restriction(A, B)[1], B, C, 0)
+        yield "linking 1", linking_network(A, identity_pattern(n), C, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,10 @@ def test_flow_rejects_bad_network():
         FlowNetwork(2, ((0, 5, 1, 0),), 0, 1)
     with pytest.raises(ValueError):
         FlowNetwork(2, ((0, 1, -1, 0),), 0, 1)
+    # of two faulty arcs, the first in arc order is the one named
+    arcs = ((0, 1, 1, 0), (1, 2, -1, 0), (0, 3, 1, 0))
+    with pytest.raises(ValueError, match=r"^arc \(1,2\) needs non-negative capacity and cost$"):
+        FlowNetwork(3, arcs, 0, 2)
 
 
 def brute_force_path_systems(A: Pattern, C: Pattern):

@@ -1,29 +1,46 @@
 """The primal-dual flow engine: dual certificates, and agreement with the
 Bellman-Ford reference and with networkx, on random networks and on
-networks shaped like the cactus and linking networks."""
+networks shaped like the cactus and linking networks; and agreement with
+the Dijkstra-first reference engine, flow, potentials and search counts,
+on random networks and on every network the benchmark systems build."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from structsys import Matching, identity_pattern
+from structsys.cli import load_system
 from structsys.combinat import Flow, FlowNetwork, extremal_weight_max_matching, min_cost_max_flow
 from structsys.combinat import matching_network as library_matching_network
 from structsys.combinat import flow_matching, residual_distances
 from structsys.core import Bigraph
+from structsys.diag import loop_augmented_bigraph
 from structsys.grank import cactus_bigraph, linking_network
-from support import bellman_ford_min_cost_max_flow, rand_pattern, reference_cactus_bigraph
+from structsys.soc import input_reachable_restriction
+from support import (
+    bellman_ford_min_cost_max_flow,
+    bench_family_networks,
+    count_searches,
+    fixture_path,
+    rand_pattern,
+    reference_cactus_bigraph,
+    reference_min_cost_max_flow,
+)
 
 
-def rand_network(rnd: random.Random, nodes: int, arcs: int, costs: tuple[int, ...]) -> FlowNetwork:
+def rand_network(
+    rnd: random.Random, nodes: int, arcs: int, costs: tuple[int, ...], cap: int = 3
+) -> FlowNetwork:
     """Random network that may hold parallel arcs, self-loops and arcs into
-    the source; arc costs come from ``costs``, so ties are frequent."""
+    the source, with capacities 0..``cap``; arc costs come from ``costs``, so
+    ties are frequent."""
     out = tuple(
-        (rnd.randrange(nodes), rnd.randrange(nodes), rnd.randint(0, 3), rnd.choice(costs))
+        (rnd.randrange(nodes), rnd.randrange(nodes), rnd.randint(0, cap), rnd.choice(costs))
         for _ in range(arcs)
     )
     return FlowNetwork(nodes, out, 0, nodes - 1)
@@ -63,6 +80,29 @@ def test_potentials_certify_every_residual_arc():
             if f > 0:
                 assert reduced <= 0
         assert not residual_reaches_sink(net, flow)
+    # the networks the bench systems build, where the capacity-bound stop
+    # ends every cactus and diag solve and every SOC-true linking
+    kinds, stopped = Counter(), 0
+    for kind, net in bench_family_networks():
+        flow = min_cost_max_flow(net)
+        assert_certified(net, flow)
+        kinds[kind] += 1
+        into_sink = sum(cap for _, v, cap, _ in net.arcs if v == net.sink)
+        stopped += kind == "linking 0" and flow.value == into_sink
+    assert set(kinds.values()) == {200} and len(kinds) == 7
+    assert stopped >= 50
+
+
+def assert_certified(net: FlowNetwork, flow: Flow) -> None:
+    """Every residual arc has a non-negative reduced cost under the flow's
+    potentials, and no augmenting path is left."""
+    pot = flow.potentials
+    assert len(pot) == net.nodes
+    for f, (u, v, cap, cost) in zip(flow.arc_flow, net.arcs):
+        reduced = cost + pot[u] - pot[v]
+        assert f == cap or reduced >= 0
+        assert f == 0 or reduced <= 0
+    assert not residual_reaches_sink(net, flow)
 
 
 def test_value_and_cost_match_bellman_ford_reference():
@@ -259,3 +299,59 @@ def test_linking_shaped_networks_match_networkx(n, p):
     net = linking_network(a, identity_pattern(n), c, input_cost=1)
     flow = min_cost_max_flow(net)
     assert (flow.value, flow.cost) == networkx_value_and_cost(nx, net)
+
+
+def assert_same_as_reference(net: FlowNetwork, ours: list, theirs: list) -> None:
+    """The engine gives the reference engine's flow, value, cost and
+    potentials, in no more Dijkstra searches; both search lists are then
+    emptied."""
+    flow, ref = min_cost_max_flow(net), reference_min_cost_max_flow(net)
+    assert (flow.arc_flow, flow.value, flow.cost) == (ref.arc_flow, ref.value, ref.cost), net
+    assert flow.potentials == ref.potentials, net
+    assert len(ours) <= len(theirs), net
+    ours.clear()
+    theirs.clear()
+
+
+def test_engine_equals_the_reference_engine_on_random_networks(monkeypatch):
+    # self-loops, parallel arcs, arcs into the source and out of the sink,
+    # capacities 0-7, and zero-cost cycles wherever the costs hold a 0
+    ours, theirs = count_searches(monkeypatch)
+    rnd, seen = random.Random(37), Counter()
+    for trial in range(20000):
+        costs = COST_SETS[trial % len(COST_SETS)]
+        net = rand_network(rnd, rnd.randint(2, 9), rnd.randint(0, 24), costs, cap=7)
+        pairs = {(u, v) for u, v, _, _ in net.arcs}
+        seen["self-loop"] += any(u == v for u, v in pairs)
+        seen["parallel"] += len(pairs) < len(net.arcs)
+        seen["into source"] += any(v == net.source for _, v in pairs)
+        seen["out of sink"] += any(u == net.sink for u, _ in pairs)
+        free = {(u, v) for u, v, cap, cost in net.arcs if cap and not cost}
+        seen["zero-cost cycle"] += any((v, u) in free for u, v in free)
+        assert_same_as_reference(net, ours, theirs)
+    assert min(seen.values()) >= 1000 and len(seen) == 5, seen
+
+
+def test_engine_equals_the_reference_engine_on_the_bench_networks(monkeypatch):
+    ours, theirs = count_searches(monkeypatch)
+    kinds = Counter()
+    for kind, net in bench_family_networks():
+        assert_same_as_reference(net, ours, theirs)
+        kinds[kind] += 1
+    assert set(kinds.values()) == {200} and len(kinds) == 7
+
+
+def test_engine_skips_the_searches_that_cannot_move_the_flow(monkeypatch):
+    # the worked SOC example: its linking is all zero-cost and fills the
+    # two outputs, and its diag network has a zero-cost path from the start
+    sys_pat = load_system(fixture_path("example_soc"))
+    a, b, c = sys_pat.A, sys_pat.B, sys_pat.C
+    linking = linking_network(input_reachable_restriction(a, b)[1], b, c)
+    diag = library_matching_network(loop_augmented_bigraph(a), "minimize")
+    ours, theirs = count_searches(monkeypatch)
+    for net, searches, reference in ((linking, 0, 2), (diag, 2, 4)):
+        min_cost_max_flow(net)
+        reference_min_cost_max_flow(net)
+        assert (len(ours), len(theirs)) == (searches, reference)
+        ours.clear()
+        theirs.clear()
