@@ -294,26 +294,34 @@ def max_matching(g: Bigraph) -> Matching:
     return hopcroft_karp(g)[0]
 
 
-def matching_network(g: Bigraph, sense: Literal["minimize", "maximize"]) -> FlowNetwork:
+def matching_network(g: Bigraph, sense: Literal["minimize", "maximize", "count"]) -> FlowNetwork:
     """Unit-capacity network whose minimum-cost maximum flows are the
-    maximum matchings of g of minimum or maximum total cost.
+    maximum matchings of g of minimum or maximum total cost, or for
+    ``count`` with the most edges of positive cost.
 
     Node 0 is the source, node r the right vertex r, node ``g.right + l``
     the left vertex l, and node ``g.right + g.left + 1`` the sink. The arcs
     are the source arcs in right order, one arc per edge in edge order, then
-    the sink arcs in left order. An edge of cost c costs c, or for
-    ``maximize`` W + 1 - c with W the sum of all costs, which keeps arc
-    costs non-negative; the max-flow phase pins the cardinality, so cost
-    only discriminates among maximum matchings.
+    the sink arcs in left order. An edge of cost c costs c for ``minimize``;
+    W + 1 - c for ``maximize``, with W the sum of all costs, which keeps arc
+    costs non-negative; and for ``count`` 0 when c is positive and 1 when it
+    is 0, so a flow's cost is the number of matched cost-0 edges. The
+    max-flow phase pins the cardinality, so cost only discriminates among
+    maximum matchings.
     """
-    if sense not in ("minimize", "maximize"):
+    edges = g.edges
+    if sense == "minimize":
+        costs = [c for _, _, c in edges]
+    elif sense == "maximize":
+        top = sum(c for _, _, c in edges) + 1
+        costs = [top - c for _, _, c in edges]
+    elif sense == "count":
+        costs = [0 if c else 1 for _, _, c in edges]
+    else:
         raise ValueError(f"unknown sense {sense!r}")
-    total = sum(c for _, _, c in g.edges)
     sink = g.right + g.left + 1
     arcs = [(0, r, 1, 0) for r in range(1, g.right + 1)]
-    arcs += [
-        (r, g.right + l, 1, c if sense == "minimize" else total + 1 - c) for r, l, c in g.edges
-    ]
+    arcs += [(r, g.right + l, 1, k) for (r, l, _), k in zip(edges, costs)]
     arcs += [(g.right + l, sink, 1, 0) for l in range(1, g.left + 1)]
     return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
 
@@ -334,14 +342,17 @@ def extremal_weight_max_matching(
     """Maximum-cardinality matching of minimum or maximum total cost, from a
     minimum-cost maximum flow of :func:`matching_network`. ``weighed`` also
     returns that total cost, read off the flow's value and cost."""
-    flow = min_cost_max_flow(matching_network(g, sense))
+    net = matching_network(g, sense)
+    flow = min_cost_max_flow(net)
     matching = flow_matching(g, flow)
     if not weighed:
         return matching
-    if sense == "minimize":
+    if sense == "minimize" or not flow.value:
         return matching, flow.cost
-    # a matched edge of cost c carries its unit at arc cost W + 1 - c
-    return matching, flow.value * (sum(c for _, _, c in g.edges) + 1) - flow.cost
+    # a matched edge of cost c carries its unit at arc cost W + 1 - c; the
+    # first edge's arc follows the g.right source arcs
+    top = net.arcs[g.right][3] + g.edges[0][2]
+    return matching, flow.value * top - flow.cost
 
 
 def _successors(A: Pattern, reverse: bool = False) -> list[list[int]]:

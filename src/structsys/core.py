@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
-from operator import index
+from itertools import chain, compress, repeat
+from operator import eq, index
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 
@@ -159,6 +159,12 @@ def _pairs(flat: tuple[int, ...]) -> Iterator[Entry]:
 
 def _flatten(pairs: Iterable[Entry]) -> tuple[int, ...]:
     return tuple(chain.from_iterable(pairs))
+
+
+def _diagonal(flat: tuple[int, ...]) -> set[int]:
+    """The i with an entry (i, i) among a flat tuple's positions."""
+    rows = flat[::2]
+    return set(compress(rows, map(eq, rows, flat[1::2])))
 
 
 _NO_ELEMENTS: frozenset = frozenset()

@@ -9,10 +9,11 @@ weighted-matching certificate also exposes the witnessing cycle family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .combinat import extremal_weight_max_matching, scc
-from .core import Bigraph, Matching, Pattern, check_shapes
+from .core import Bigraph, Matching, Pattern, _diagonal, check_shapes
 from .grank import grank
 
 
@@ -24,11 +25,12 @@ def loop_augmented_bigraph(A: Pattern) -> Bigraph:
     a maximum matching counts how many synthetic loops are unavoidable;
     :func:`certificate_components` drops those loops again.
     """
-    n = check_shapes(A)
-    edges = [(j, i, 0) for i, j in A.sorted_nonzeros()]
-    nonzeros = A.nonzeros
-    edges += [(i, i, 1) for i in range(1, n + 1) if (i, i) not in nonzeros]
-    return Bigraph(n, n, tuple(edges))
+    n, flat = check_shapes(A), A.flat
+    edges = list(zip(flat[1::2], flat[::2], repeat(0)))
+    diagonal = _diagonal(flat)
+    edges += [(i, i, 1) for i in range(1, n + 1) if i not in diagonal]
+    # one edge per entry and one loop per missing diagonal entry, all in range
+    return Bigraph._from_sorted(n, n, tuple(sorted(edges)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +93,9 @@ def certificate_components(
     vertices are omitted.
     """
     succ: dict[int, int] = {}
-    nonzeros = A.nonzeros
+    diagonal = _diagonal(A.flat)
     for r, l in certificate.edges:
-        if r == l and (r, r) not in nonzeros:
+        if r == l and r not in diagonal:
             continue  # synthetic loop
         succ[r] = l
     preds = set(succ.values())

@@ -29,6 +29,7 @@ from .core import (
     Entry,
     Matching,
     Pattern,
+    _diagonal,
     _pairs,
     check_shapes,
     pattern_bigraph,
@@ -91,23 +92,13 @@ def cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
     n, p = check_shapes(A, C=C), C.rows
     q = p
     w = output_reachable_states(A, C)
-    edges: list[tuple[int, int, int]] = []
-    for i, j in A.sorted_nonzeros():  # A[i,j] != 0 <=> state edge x_j -> x_i
-        edges.append((j, i, q + 1 if i in w else 0))
-    for i, j in C.sorted_nonzeros():  # C[i,j] != 0 <=> output edge x_j -> y_i
-        edges.append((j, n + i, q))
-    present = {(r, l) for r, l, _ in edges}
-    for v in range(1, n + 1):
-        if (v, v) not in present:
-            edges.append((v, v, 0))
-    return Bigraph(n + p, n, tuple(edges)), q
-
-
-def _cactus_shape(weight: int, q: int) -> tuple[int, int]:
-    """(size, stems) of a configuration whose :func:`cactus_bigraph` matching
-    weighs W = (q+1)d - s with 0 <= s <= q: d = ceil(W / (q+1)), s = (q+1)d - W."""
-    d = -(-weight // (q + 1))
-    return d, (q + 1) * d - weight
+    # A[i,j] != 0 <=> state edge x_j -> x_i; C[i,j] != 0 <=> output edge x_j -> y_i
+    edges = [(j, i, q + 1 if i in w else 0) for i, j in _pairs(A.flat)]
+    edges += [(j, n + i, q) for i, j in _pairs(C.flat)]
+    diagonal = _diagonal(A.flat)
+    edges += [(v, v, 0) for v in range(1, n + 1) if v not in diagonal]
+    # one edge per entry and one loop per missing diagonal entry, all in range
+    return Bigraph._from_sorted(n + p, n, tuple(sorted(edges))), q
 
 
 def cactus_size(A: Pattern, C: Pattern) -> CactusReport:
@@ -115,7 +106,25 @@ def cactus_size(A: Pattern, C: Pattern) -> CactusReport:
     and cycles, with the stem count of the selected configuration."""
     g, q = cactus_bigraph(A, C)
     cert, weight = extremal_weight_max_matching(g, "maximize", weighed=True)
-    return CactusReport(*_cactus_shape(weight, q), cert)
+    # the matching weighs W = (q+1)d - s with 0 <= s <= q: d = ceil(W / (q+1))
+    d = -(-weight // (q + 1))
+    return CactusReport(d, (q + 1) * d - weight, cert)
+
+
+def _cactus_count(A: Pattern, C: Pattern) -> tuple[int, FlowNetwork, Flow]:
+    """Size of a maximum cactus of (A, C), with the optimal flow and the
+    network it solves, without the stem count.
+
+    The network is :func:`cactus_bigraph`'s in the ``count`` sense: an edge
+    of positive cost (a covering state edge or an output edge) is an arc of
+    cost 0, a loop or an edge into an output-unreachable head one of cost 1.
+    Every maximum flow matches all n states and a configuration covering d
+    states costs n - d, so the size is n less the optimal cost.
+    """
+    g, _ = cactus_bigraph(A, C)
+    net = matching_network(g, "count")
+    flow = min_cost_max_flow(net)
+    return g.right - flow.cost, net, flow
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,32 +133,25 @@ class SpareRowCactus:
     row e_i in place of the empty row y' is priced by one search.
 
     The empty row is inert: no edge enters its left vertex, so ``size``
-    equals ``cactus_size(A, C).size``, while q is p + 1. ``weight`` is the
-    optimal matching weight, ``reachable`` the output-reachable states of
-    (A, C), ``flow`` the optimal flow of the matching ``network``, and
-    ``offset`` the arc cost W + 1 of a cost-0 edge in that network, W being
-    the sum of the edge costs.
+    equals ``cactus_size(A, C).size``. ``reachable`` holds the
+    output-reachable states of (A, C), and ``flow`` the optimal flow of the
+    size-only ``network`` of :func:`_cactus_count`.
     """
 
     size: int
-    weight: int
-    q: int
     reachable: frozenset[int]
     network: FlowNetwork
     flow: Flow
-    offset: int
 
     def raising_states(self, states: Iterable[int]) -> frozenset[int]:
         """The states i whose unit row e_i raises the cactus size of (A, C).
 
         An output-unreachable state always does: it becomes a one-state stem.
-        For a reachable one, the cactus bigraphs of [C; 0] and [C; e_i] differ
-        by the edge x_i -> y' of cost q alone, whose arc closes a cycle with
-        the cheapest residual path from y' to x_i. That path leaves y'
-        through the sink and crosses one more matched edge backwards than
-        forwards, so its cost carries -offset, and the optimum weight grows
-        by q - offset less the path cost when that is positive. One residual
-        search from y' prices every state at once.
+        For a reachable one, the networks of [C; 0] and [C; e_i] differ by
+        the cost-0 arc x_i -> y' alone, which closes a cycle with the
+        cheapest residual path from y' to x_i. The optimum cost falls, and
+        the size grows, exactly when that path's cost is negative. One
+        residual search from y' prices every state at once.
         """
         wanted = frozenset(states)
         reached = wanted & self.reachable
@@ -158,34 +160,24 @@ class SpareRowCactus:
         # y' is the last left vertex, the node before the sink; node i of the
         # matching network is the right vertex x_i
         dist = residual_distances(self.network, self.flow, self.network.sink - 1)
-        return (wanted - reached) | {
-            i
-            for i in reached
-            if dist[i] is not None
-            and _cactus_shape(self.weight + self.q - dist[i] - self.offset, self.q)[0] > self.size
-        }
+        return (wanted - reached) | {i for i in reached if dist[i] is not None and dist[i] < 0}
 
 
 def spare_row_cactus(A: Pattern, C: Pattern) -> SpareRowCactus:
-    """Solve the cactus of (A, [C; 0]) once and keep its optimal flow."""
+    """Solve the size-only cactus of (A, [C; 0]) once and keep its optimal
+    flow."""
     n = check_shapes(A, C=C)
-    g, q = cactus_bigraph(A, stack(C, Pattern(1, n)))
-    net = matching_network(g, "maximize")
-    flow = min_cost_max_flow(net)
-    offset = sum(c for _, _, c in g.edges) + 1
-    # each matched edge of cost c carries one unit at arc cost offset - c
-    weight = flow.value * offset - flow.cost
-    size = _cactus_shape(weight, q)[0]
+    size, net, flow = _cactus_count(A, stack(C, Pattern(1, n)))
     # [C; 0] reads the states C reads: the memo entry cactus_bigraph just wrote
-    reachable = output_reachable_states(A, C)
-    return SpareRowCactus(size, weight, q, reachable, net, flow, offset)
+    return SpareRowCactus(size, output_reachable_states(A, C), net, flow)
 
 
 def input_cactus_size(A: Pattern, B: Pattern) -> int:
     """Maximum input cactus size, via transposition duality: input stems and
-    cycles of (A, B) are output stems and cycles of (A^T, B^T)."""
+    cycles of (A, B) are output stems and cycles of (A^T, B^T). Only the
+    size is solved for, not the stem count."""
     check_shapes(A, B)
-    return cactus_size(A.transpose(), B.transpose()).size
+    return _cactus_count(A.transpose(), B.transpose())[0]
 
 
 @dataclass(frozen=True, slots=True, init=False)

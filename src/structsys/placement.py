@@ -124,8 +124,10 @@ def _matched_split(A: Pattern, x_f: frozenset[int]) -> tuple[frozenset[int], fro
     matching of A, costing 1 on every edge leaving a functional state,
     matches on the right, and the rest."""
     n = A.rows
-    edges = tuple((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros())
-    x_s = x_f & extremal_weight_max_matching(Bigraph(n, n, edges), "minimize").right_matched()
+    # one edge per entry of a square pattern, so only the sort is left
+    edges = tuple(sorted((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros()))
+    matching = extremal_weight_max_matching(Bigraph._from_sorted(n, n, edges), "minimize")
+    x_s = x_f & matching.right_matched()
     return x_s, x_f - x_s
 
 

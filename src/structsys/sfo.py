@@ -20,7 +20,7 @@ from typing import Iterable, Literal
 from .core import Pattern, PreconditionError, check_shapes, check_states, shares_empty_sets, stack
 from .diag import is_generically_diagonalizable
 from .grank import (
-    cactus_size,
+    _cactus_count,
     grank,
     output_reachable_states,
     rank_raising_columns,
@@ -58,8 +58,9 @@ def functional_states(F: Pattern) -> frozenset[int]:
 
 def sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
     """Bare SFO verdict, skipping the report of :func:`is_sfo`: no solve when
-    some functional state is output-unreachable, else one cactus solve of
-    [C; 0] and one residual search (:class:`structsys.grank.SpareRowCactus`).
+    some functional state is output-unreachable, else one size-only cactus
+    solve of [C; 0] and one residual search
+    (:class:`structsys.grank.SpareRowCactus`).
     """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
@@ -75,15 +76,15 @@ def is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
 
     The ``failing_states`` are the functional states whose unit row raises
     the cactus size (output-unreachable ones always do), all found by one
-    residual search of the solved cactus of [C; 0]; the verdict is true when
-    there are none. The cactus of [C; F] is solved only to report ``d_ACF``
-    on a false verdict.
+    residual search of the size-only cactus of [C; 0]; the verdict is true
+    when there are none. The size-only cactus of [C; F] is solved only to
+    report ``d_ACF`` on a false verdict.
     """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
     base = spare_row_cactus(A, C)
     failing = base.raising_states(x_f)
-    d_acf = cactus_size(A, stack(C, F)).size if failing else base.size
+    d_acf = _cactus_count(A, stack(C, F))[0] if failing else base.size
     unreachable = x_f - base.reachable
     return SfoReport(not failing, "general-cactus", x_f, unreachable, base.size, d_acf, failing)
 

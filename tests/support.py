@@ -519,19 +519,22 @@ def bench_family_networks() -> Iterator[tuple[str, FlowNetwork]]:
     """Every flow network the 200 benchmark systems (``verdicts_family()``
     then ``placement_family()``) build, with its kind: the diag network, the
     cactus of (A, [C; F]), the spare-row cactus of (A, [C; 0]), the input
-    cactus, the matched-split network of F's states, and the linking
-    networks of SOC (input cost 0) and actuator placement (input cost 1).
-    Networks are made one at a time, so none is held."""
+    cactus, each of these three also in the size-only ``count`` sense, the
+    matched-split network of F's states, and the linking networks of SOC
+    (input cost 0) and actuator placement (input cost 1). Networks are made
+    one at a time, so none is held."""
     gen = bench_gen()
     for doc in gen.verdicts_family() + gen.placement_family():
         sys_pat = parse_system(doc)
         n, A, B, C, F = sys_pat.n, sys_pat.A, sys_pat.B, sys_pat.C, sys_pat.F
         yield "diag", matching_network(loop_augmented_bigraph(A), "minimize")
-        yield "cactus", matching_network(cactus_bigraph(A, stack(C, F))[0], "maximize")
-        spare = cactus_bigraph(A, stack(C, Pattern(1, n)))[0]
-        yield "spare-row", matching_network(spare, "maximize")
-        dual = cactus_bigraph(A.transpose(), B.transpose())[0]
-        yield "input cactus", matching_network(dual, "maximize")
+        for kind, g in (
+            ("cactus", cactus_bigraph(A, stack(C, F))[0]),
+            ("spare-row", cactus_bigraph(A, stack(C, Pattern(1, n)))[0]),
+            ("input cactus", cactus_bigraph(A.transpose(), B.transpose())[0]),
+        ):
+            yield kind, matching_network(g, "maximize")
+            yield f"{kind} count", matching_network(g, "count")
         x_f = F.column_support()
         split = tuple((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros())
         yield "split", matching_network(Bigraph(n, n, split), "minimize")

@@ -25,9 +25,13 @@ from structsys import (
     unit_row,
 )
 from structsys.core import Bigraph, pattern_bigraph
+from structsys.diag import loop_augmented_bigraph
+from structsys.grank import cactus_bigraph
+from structsys.placement import _matched_split
 from support import (
     COUNTER_A,
     COUNTER_C,
+    count_calls,
     rand_pattern,
     reference_column_support,
     reference_hstack,
@@ -292,6 +296,27 @@ def test_pattern_bigraph_matches_the_validated_bigraph(P):
     # pattern_bigraph skips Bigraph's checks; the checked constructor, which
     # sorts the edges itself, must build the very same graph
     assert pattern_bigraph(P) == Bigraph(P.rows, P.cols, tuple((j, i, 0) for i, j in P.nonzeros))
+
+
+def test_library_bigraphs_equal_the_validated_bigraph(monkeypatch):
+    # cactus_bigraph, loop_augmented_bigraph and the matched-split bigraph
+    # skip Bigraph's checks too; the checked constructor must build the same
+    # graph, and that graph is the one the set-based construction gave
+    split = count_calls(monkeypatch, "extremal_weight_max_matching")
+    rnd = random.Random(53)
+    for _ in range(300):
+        n = rnd.randint(0, 9)
+        a = rand_pattern(rnd, n, n, rnd.uniform(0.05, 0.6))
+        c = rand_pattern(rnd, rnd.randint(0, 4), n, rnd.uniform(0.05, 0.5))
+        x_f = frozenset(rnd.sample(range(1, n + 1), rnd.randint(0, n)))
+        _matched_split(a, x_f)
+        built = (cactus_bigraph(a, c)[0], loop_augmented_bigraph(a), split.pop())
+        for g in built:
+            assert Bigraph(g.left, g.right, g.edges) == g
+        nonzeros = a.nonzeros
+        loops = [(i, i, 1) for i in range(1, n + 1) if (i, i) not in nonzeros]
+        assert built[1] == Bigraph(n, n, [(j, i, 0) for i, j in nonzeros] + loops)
+        assert built[2] == Bigraph(n, n, [(j, i, int(j in x_f)) for i, j in nonzeros])
 
 
 @given(st.data())

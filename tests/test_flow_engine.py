@@ -89,7 +89,7 @@ def test_potentials_certify_every_residual_arc():
         kinds[kind] += 1
         into_sink = sum(cap for _, v, cap, _ in net.arcs if v == net.sink)
         stopped += kind == "linking 0" and flow.value == into_sink
-    assert set(kinds.values()) == {200} and len(kinds) == 7
+    assert set(kinds.values()) == {200} and len(kinds) == 10
     assert stopped >= 50
 
 
@@ -338,7 +338,7 @@ def test_engine_equals_the_reference_engine_on_the_bench_networks(monkeypatch):
     for kind, net in bench_family_networks():
         assert_same_as_reference(net, ours, theirs)
         kinds[kind] += 1
-    assert set(kinds.values()) == {200} and len(kinds) == 7
+    assert set(kinds.values()) == {200} and len(kinds) == 10
 
 
 def test_engine_skips_the_searches_that_cannot_move_the_flow(monkeypatch):

@@ -22,7 +22,14 @@ from structsys import (
     unit_row,
 )
 from structsys.combinat import extremal_weight_max_matching, matching_network
-from structsys.grank import cactus_bigraph, output_reachable_states, spare_row_cactus
+from structsys.cli import parse_system
+from structsys.grank import (
+    _cactus_count,
+    cactus_bigraph,
+    output_reachable_states,
+    spare_row_cactus,
+)
+from structsys.sfo import is_sfo
 from structsys.oracle import field_rank, sample_field_realization
 from support import (
     COUNTER_A,
@@ -30,6 +37,7 @@ from support import (
     COUNTER_F,
     bench_gen,
     chain_pattern,
+    count_searches,
     eye,
     rand_pattern,
     rand_square,
@@ -241,7 +249,7 @@ def test_spare_row_cactus_prices_every_unit_row():
         c = rand_pattern(rnd, p, n, rnd.uniform(0.05, 0.5))
         d = cactus_size(a, c).size
         base = spare_row_cactus(a, c)
-        assert (base.size, base.q) == (d, p + 1)
+        assert (base.size, base.network.sink) == (d, 2 * n + p + 2)
         assert base.reachable == output_reachable_states(a, c)
         expected = frozenset(
             i for i in range(1, n + 1) if cactus_size(a, stack(c, unit_row(n, i))).size > d
@@ -297,13 +305,55 @@ def test_states_only_cactus_equals_the_listed_reference():
         assert input_cactus_size(a, b) == _reference_cactus(a.transpose(), b.transpose())[1]
 
         spare = spare_row_cactus(a, c)
-        weight0, size0, _ = _reference_cactus(a, stack(c, Pattern(1, n)))
-        assert (spare.size, spare.weight, spare.q) == (size0, weight0, p + 1) and size0 == size
+        _, size0, _ = _reference_cactus(a, stack(c, Pattern(1, n)))
+        assert (spare.size, spare.flow.cost) == (size0, n - size0) and size0 == size
+        assert spare.network.sink == 2 * n + p + 2
         raising = frozenset(
             i for i in range(1, n + 1) if _reference_cactus(a, stack(c, unit_row(n, i)))[1] > size
         )
         assert spare.raising_states(range(1, n + 1)) == raising
     assert min(seen.values()) >= 100, seen
+
+
+def test_size_only_cactus_equals_cactus_size_on_the_bench_systems():
+    # the 0/1-cost solve against the stem-counting one, for [C; 0], [C; F]
+    # and the input cactus (A^T, B^T), on every benchmark system
+    gen = bench_gen()
+    for doc in gen.verdicts_family() + gen.placement_family():
+        s = parse_system(doc)
+        a, b, c, f = s.A, s.B, s.C, s.F
+        for left, right in (
+            (a, stack(c, Pattern(1, s.n))),
+            (a, stack(c, f)),
+            (a.transpose(), b.transpose()),
+        ):
+            assert _cactus_count(left, right)[0] == cactus_size(left, right).size
+        assert spare_row_cactus(a, c).size == cactus_size(a, c).size
+        assert input_cactus_size(a, b) == cactus_size(a.transpose(), b.transpose()).size
+
+
+def test_size_only_solves_take_few_searches(monkeypatch):
+    # Dijkstra searches, residual ones included, on fresh patterns of the
+    # unrelabelled benchmark families; the stem-counting solves took 557 and
+    # 531 for is_sfo and 234 for the verdicts family's input cactus
+    gen = bench_gen()
+    searches, _ = count_searches(monkeypatch)
+    for family, sfo_bound, input_bound in (
+        (gen.verdicts_family(), 266, 11),
+        (gen.placement_family(), 233, None),
+    ):
+        sfo = inputs = 0
+        for doc in family:
+            s = parse_system(doc)
+            searches.clear()
+            is_sfo(s.A, s.C, s.F)
+            sfo += len(searches)
+            s = parse_system(doc)
+            searches.clear()
+            input_cactus_size(s.A, s.B)
+            inputs += len(searches)
+        assert sfo <= sfo_bound
+        assert input_bound is None or inputs <= input_bound
 
 
 def test_states_only_cactus_network_has_one_arc_per_edge_and_vertex():
