@@ -15,21 +15,21 @@ from structsys import (
     grank,
     hstack,
     input_cactus_size,
+    is_sfo,
     linking_size,
     numeric_grank,
     numeric_obs_rank,
     stack,
     unit_row,
 )
-from structsys.combinat import extremal_weight_max_matching, matching_network
 from structsys.cli import parse_system
+from structsys.combinat import extremal_weight_max_matching, matching_network
 from structsys.grank import (
     _cactus_count,
     cactus_bigraph,
     output_reachable_states,
     spare_row_cactus,
 )
-from structsys.sfo import is_sfo
 from structsys.oracle import field_rank, sample_field_realization
 from support import (
     COUNTER_A,
