@@ -337,16 +337,14 @@ def flow_matching(g: Bigraph, flow: Flow) -> Matching:
 
 
 def extremal_weight_max_matching(
-    g: Bigraph, sense: Literal["minimize", "maximize"], weighed: bool = False
-) -> Matching | tuple[Matching, int]:
+    g: Bigraph, sense: Literal["minimize", "maximize"]
+) -> tuple[Matching, int]:
     """Maximum-cardinality matching of minimum or maximum total cost, from a
-    minimum-cost maximum flow of :func:`matching_network`. ``weighed`` also
-    returns that total cost, read off the flow's value and cost."""
+    minimum-cost maximum flow of :func:`matching_network`, and that total
+    cost, read off the flow's value and cost."""
     net = matching_network(g, sense)
     flow = min_cost_max_flow(net)
     matching = flow_matching(g, flow)
-    if not weighed:
-        return matching
     if sense == "minimize" or not flow.value:
         return matching, flow.cost
     # a matched edge of cost c carries its unit at arc cost W + 1 - c; the

@@ -221,8 +221,12 @@ def dedicated_rows(n: int, states: Iterable[int]) -> Pattern:
 
 
 def check_states(n: int, states: Iterable[int]) -> list[int]:
-    """The distinct states, ascending; ``ValueError`` names the smallest outside 1..n."""
-    ordered = sorted(set(states))
+    """The distinct states as ints, ascending; ``ValueError`` on a non-integer or one outside 1..n."""
+    indices = map(index, states)  # a non-iterable raises TypeError here
+    try:
+        ordered = sorted(set(indices))
+    except TypeError as exc:
+        raise ValueError(f"state indices must be integers: {exc}") from None
     for s in ordered:
         if not 1 <= s <= n:
             raise ValueError(f"state index {s} out of range 1..{n}")

@@ -62,7 +62,7 @@ def is_generically_diagonalizable(A: Pattern) -> DiagReport:
     def solve() -> DiagReport:
         n = check_shapes(A)
         g = loop_augmented_bigraph(A)
-        cert, weight = extremal_weight_max_matching(g, "minimize", weighed=True)
+        cert, weight = extremal_weight_max_matching(g, "minimize")
         v = n - weight
         gr = grank(A)
         return DiagReport(

@@ -105,7 +105,7 @@ def cactus_size(A: Pattern, C: Pattern) -> CactusReport:
     """Maximum number of output-reachable states covered by disjoint stems
     and cycles, with the stem count of the selected configuration."""
     g, q = cactus_bigraph(A, C)
-    cert, weight = extremal_weight_max_matching(g, "maximize", weighed=True)
+    cert, weight = extremal_weight_max_matching(g, "maximize")
     # the matching weighs W = (q+1)d - s with 0 <= s <= q: d = ceil(W / (q+1))
     d = -(-weight // (q + 1))
     return CactusReport(d, (q + 1) * d - weight, cert)

@@ -85,9 +85,10 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
     Costs 1 every state edge leaving a functional state, takes a
     minimum-weight maximum matching, gives each right-unmatched functional
     state a dedicated row, and wires the remaining functional states into
-    those rows round-robin. With ``minimize_links`` the round-robin entries
-    are greedily dropped while every one of those states stays
-    output-reachable.
+    those rows round-robin. With ``minimize_links`` a round-robin state keeps
+    its entry only when it is the largest one in its strongly connected
+    component, and that component holds no dedicated state and reaches no
+    other state with an entry.
     """
     x_f = _require_functional(A, F)
     if not is_generically_diagonalizable(A).verdict:
@@ -98,16 +99,9 @@ def min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> Se
     n = A.rows
     x_s, x_f_u = A._recall("split", x_f, lambda: _matched_split(A, x_f))
     rows = max(1, len(x_f_u))
-    entries: set[tuple[int, int]] = set()
-    for k, state in enumerate(sorted(x_f_u)):
-        entries.add((k + 1, state))
-    shared = {}
-    for idx, state in enumerate(sorted(x_s)):
-        row = (idx % rows) + 1
-        entries.add((row, state))
-        shared[state] = row
-    if minimize_links and x_s:
-        entries = _drop_redundant_links(A, entries, shared, x_s)
+    linked = _linked_shared_states(A, x_f_u, x_s) if minimize_links and x_s else x_s
+    entries = {(k + 1, state) for k, state in enumerate(sorted(x_f_u))}
+    entries |= {(idx % rows + 1, state) for idx, state in enumerate(sorted(x_s)) if state in linked}
     c_out = Pattern(rows, n, frozenset(entries))
     return SensorPlacement(
         C_out=c_out,
@@ -126,7 +120,7 @@ def _matched_split(A: Pattern, x_f: frozenset[int]) -> tuple[frozenset[int], fro
     n = A.rows
     # one edge per entry of a square pattern, so only the sort is left
     edges = tuple(sorted((j, i, 1 if j in x_f else 0) for i, j in A.sorted_nonzeros()))
-    matching = extremal_weight_max_matching(Bigraph._from_sorted(n, n, edges), "minimize")
+    matching, _ = extremal_weight_max_matching(Bigraph._from_sorted(n, n, edges), "minimize")
     x_s = x_f & matching.right_matched()
     return x_s, x_f - x_s
 
@@ -144,15 +138,19 @@ def _stem_states(A: Pattern, x_f: frozenset[int]) -> tuple[int, ...]:
     return A._recall("stems", x_f, stems)
 
 
-def _drop_redundant_links(
-    A: Pattern, entries: set[tuple[int, int]], shared: dict[int, int], x_s: frozenset[int]
-) -> set[tuple[int, int]]:
-    kept = set(entries)
-    for state in sorted(x_s):
-        candidate = kept - {(shared[state], state)}
-        if x_s <= reachable(A, {j for _, j in candidate}, "backward"):
-            kept = candidate
-    return kept
+def _linked_shared_states(A: Pattern, x_f_u: frozenset[int], x_s: frozenset[int]) -> frozenset[int]:
+    """The states of X_S left with an entry when the entries are dropped one
+    at a time in ascending order while X_S stays output-reachable: s keeps
+    its entry exactly when it reaches no other state holding one, so when it
+    is the largest of X_S in its component, which holds no dedicated state
+    and has no edge out into an ancestor of a state with an entry."""
+    comp = {state: k for k, states in enumerate(scc(A)) for state in states}
+    anchored = reachable(A, x_f_u | x_s, "backward")
+    # A[i, j] != 0 is the edge x_j -> x_i
+    blocked = {comp[j] for i, j in A.sorted_nonzeros() if comp[i] != comp[j] and i in anchored}
+    blocked.update(comp[state] for state in x_f_u)
+    largest = {comp[state]: state for state in sorted(x_s)}
+    return frozenset(state for k, state in largest.items() if k not in blocked)
 
 
 def min_sensors_iterative(A: Pattern, F: Pattern) -> SensorPlacement:

@@ -24,6 +24,7 @@ from structsys import (
     grank,
     identity_pattern,
     is_generically_diagonalizable,
+    reachable,
     stack,
     unit_row,
 )
@@ -32,6 +33,7 @@ from structsys.combinat import Flow, FlowNetwork, _residual, matching_network, m
 from structsys.core import Bigraph, pattern_bigraph
 from structsys.diag import loop_augmented_bigraph
 from structsys.grank import cactus_bigraph, linking_network, output_reachable_states
+from structsys.placement import _matched_split
 from structsys.soc import input_reachable_restriction
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -418,6 +420,39 @@ def reference_min_sensors_iterative(A: Pattern, F: Pattern) -> SensorPlacement:
         raise AssertionError("row appending failed to converge")
     optimal = len(x_f) == n or is_generically_diagonalizable(A).verdict
     return SensorPlacement(c, c.rows, "alg2", frozenset(), frozenset(), optimal)
+
+
+# ---------------------------------------------------------------------------
+# reference diagonalizable-case sensor placement: the earlier min_sensors_diag,
+# whose minimize_links drops the round-robin entries one at a time in
+# ascending state order, re-running a whole-graph backward search for each
+
+
+def reference_min_sensors_diag(A: Pattern, F: Pattern, minimize_links: bool = False) -> SensorPlacement:
+    x_s, x_f_u = _matched_split(A, functional_states(F))
+    rows = max(1, len(x_f_u))
+    entries: set[tuple[int, int]] = set()
+    for k, state in enumerate(sorted(x_f_u)):
+        entries.add((k + 1, state))
+    shared = {}
+    for idx, state in enumerate(sorted(x_s)):
+        row = (idx % rows) + 1
+        entries.add((row, state))
+        shared[state] = row
+    if minimize_links and x_s:
+        entries = _drop_redundant_links(A, entries, shared, x_s)
+    return SensorPlacement(Pattern(rows, A.rows, frozenset(entries)), rows, "alg1", x_f_u, x_s, True)
+
+
+def _drop_redundant_links(
+    A: Pattern, entries: set[tuple[int, int]], shared: dict[int, int], x_s: frozenset[int]
+) -> set[tuple[int, int]]:
+    kept = set(entries)
+    for state in sorted(x_s):
+        candidate = kept - {(shared[state], state)}
+        if x_s <= reachable(A, {j for _, j in candidate}, "backward"):
+            kept = candidate
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_hopcroft_karp_reports_a_koenig_cover_of_its_size():
 
 def test_extremal_single_edge():
     g = Bigraph(1, 1, ((1, 1, 5),))
-    m = extremal_weight_max_matching(g, "minimize")
+    m, _ = extremal_weight_max_matching(g, "minimize")
     assert m.edges == {(1, 1)} and g.weight(m) == 5
 
 
@@ -212,19 +212,19 @@ def test_extremal_counterexample_loop_graph():
     g = loop_augmented_bigraph(COUNTER_A)
     weights = sorted(weight_of(g, m) for m in maximum_matchings(g))
     assert weights == [3]
-    m = extremal_weight_max_matching(g, "minimize")
+    m, _ = extremal_weight_max_matching(g, "minimize")
     assert g.weight(m) == 3 == COUNTER_A.rows - 1
 
 
 def test_extremal_two_parallel_matchings():
     g = Bigraph(2, 2, ((1, 1, 1), (2, 2, 1), (1, 2, 3), (2, 1, 4)))
-    lo = extremal_weight_max_matching(g, "minimize")
-    hi = extremal_weight_max_matching(g, "maximize")
+    lo, _ = extremal_weight_max_matching(g, "minimize")
+    hi, _ = extremal_weight_max_matching(g, "maximize")
     assert g.weight(lo) == 2 and lo.edges == {(1, 1), (2, 2)}
     assert g.weight(hi) == 7 and hi.edges == {(1, 2), (2, 1)}
     for sense in ("minimize", "maximize"):
-        assert extremal_weight_max_matching(Bigraph(2, 2, ()), sense).size == 0
-        assert extremal_weight_max_matching(Bigraph(2, 2, ()), sense, weighed=True) == (Matching(()), 0)
+        assert extremal_weight_max_matching(Bigraph(2, 2, ()), sense)[0].size == 0
+        assert extremal_weight_max_matching(Bigraph(2, 2, ()), sense) == (Matching(()), 0)
 
 
 def test_extremal_matches_enumeration():
@@ -241,8 +241,8 @@ def test_extremal_matches_enumeration():
             continue
         g = Bigraph(n, n, edges)
         ms = maximum_matchings(g)
-        lo = extremal_weight_max_matching(g, "minimize")
-        hi = extremal_weight_max_matching(g, "maximize")
+        lo, _ = extremal_weight_max_matching(g, "minimize")
+        hi, _ = extremal_weight_max_matching(g, "maximize")
         assert len(lo.edges) == len(ms[0]) == len(hi.edges)
         assert g.weight(lo) == min(weight_of(g, m) for m in ms)
         assert g.weight(hi) == max(weight_of(g, m) for m in ms)

@@ -21,13 +21,15 @@ from structsys import (
     is_generically_diagonalizable,
     min_sensors_diag,
     min_sensors_matching,
+    reachable,
     stack,
     unit_row,
 )
-from structsys.core import Bigraph, pattern_bigraph
+from structsys.core import Bigraph, check_states, pattern_bigraph
 from structsys.diag import loop_augmented_bigraph
 from structsys.grank import cactus_bigraph
 from structsys.placement import _matched_split
+from structsys.sfo import in_minimal_dilation
 from support import (
     COUNTER_A,
     COUNTER_C,
@@ -96,17 +98,37 @@ def test_pattern_validation():
 
 def test_pattern_indices_are_plain_ints():
     # numpy integers and bools pass operator.index and are stored as int; a
-    # float, a string or a non-pair is refused here, not later in grank
+    # float, a string or a non-pair, one without a length among them, is
+    # refused here, not later in grank
     np = pytest.importorskip("numpy")
     P = Pattern(np.int64(2), 2, {(np.int64(1), np.int32(2)), (True, 1)})
     assert P == Pattern(2, 2, {(1, 2), (1, 1)})
     assert all(type(v) is int for v in (P.rows, P.cols, *P.flat))
     assert is_generically_diagonalizable(P).grank_A == 1
-    for bad in ((1.5, 1), (1, "2"), (1, 2, 3), "12"):
+    for bad in ((1.5, 1), (1, "2"), (1, 2, 3), "12", 5):
         with pytest.raises(ValueError, match=re.escape(f"pattern nonzero {bad!r} is not a (row, col)")):
             Pattern(2, 2, {bad})
     with pytest.raises(ValueError, match=re.escape("dimensions must be integers, got 2.0x2")):
         Pattern(2.0, 2)
+
+
+def test_state_indices_are_plain_ints():
+    # states go through operator.index as pattern entries do: a float or a
+    # string is refused, not matched to no state or compared with an int
+    np = pytest.importorskip("numpy")
+    a, c = Pattern(2, 2, {(1, 2), (2, 1)}), Pattern(1, 2, {(1, 1)})
+    calls = (
+        lambda: a.induced([1.5]),
+        lambda: in_minimal_dilation(a, c, 1.5),
+        lambda: reachable(a, [2.0], "forward"),
+        lambda: reachable(a, ["1"], "backward"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="state indices must be integers"):
+            call()
+    ordered = check_states(2, [np.int64(2), True, 2])
+    assert ordered == [1, 2] and all(type(s) is int for s in ordered)
+    assert reachable(a, [np.int64(1)], "forward") == {1, 2}
 
 
 def test_column_support_is_computed_once_and_not_compared():

@@ -264,7 +264,7 @@ def _reference_cactus(a: Pattern, c: Pattern) -> tuple[int, int, int]:
     """(weight, size, stems) of a maximum-weight maximum matching of the
     cactus bigraph with its p·n return edges listed one by one."""
     g, q = reference_cactus_bigraph(a, c)
-    weight = g.weight(extremal_weight_max_matching(g, "maximize"))
+    weight = g.weight(extremal_weight_max_matching(g, "maximize")[0])
     size = -(-weight // (q + 1))
     return weight, size, (q + 1) * size - weight
 

@@ -27,6 +27,13 @@ def test_every_export_resolves_once():
     assert [n for n in names if not hasattr(structsys, n)] == []
 
 
+def test_dir_lists_every_export_before_its_first_lookup(monkeypatch):
+    # a lazily exported name is in dir() before a lookup puts it in globals
+    for name in structsys._LAZY:
+        monkeypatch.delitem(vars(structsys), name, raising=False)
+    assert set(structsys.__all__) <= set(dir(structsys))
+
+
 def _used_names(tree: ast.Module) -> set[str]:
     """Names the module reads, in code and in annotations given as strings."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -6,6 +6,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from structsys import (
     numeric_output_controllable,
     reachable,
     sample_field_realization,
+    scc,
     stack,
 )
 from structsys.grank import cactus_bigraph, cactus_size
@@ -38,6 +40,7 @@ from support import (
     COUNTER_F,
     FIXTURE_NAMES,
     bench_gen,
+    count_calls,
     count_flow_solves,
     eye,
     fixture_path,
@@ -45,6 +48,7 @@ from support import (
     rand_nonempty_rows,
     rand_pattern,
     rand_square,
+    reference_min_sensors_diag,
     reference_min_sensors_iterative,
 )
 
@@ -140,6 +144,56 @@ def test_alg1_minimize_links_stays_feasible():
         assert is_sfo(a, lean.C_out, f).verdict
         trimmed += lean.C_out.nonzeros < full.C_out.nonzeros
     assert trimmed > 0
+
+
+def _link_pruning_cases() -> list[tuple[Pattern, Pattern]]:
+    """(A, F) of the fixtures, of the 200 benchmark systems and of 3,000
+    seeded random diagonalizable patterns; some A are not diagonalizable."""
+    from structsys.cli import load_system, parse_system
+
+    gen = bench_gen()
+    systems = [load_system(fixture_path(name)) for name in FIXTURE_NAMES]
+    systems += [parse_system(doc) for doc in gen.verdicts_family() + gen.placement_family()]
+    cases = [(sys_pat.A, sys_pat.F) for sys_pat in systems]
+    rnd = random.Random(61)
+    for _ in range(3000):
+        n = rnd.randint(2, 9)
+        a = rand_gen_diag(rnd, n)
+        cases.append((a, rand_nonempty_rows(rnd, rnd.randint(1, 2), n, rnd.uniform(0.2, 0.8))))
+    return cases
+
+
+def test_alg1_link_pruning_equals_the_reference_loop():
+    # the closed form keeps exactly the links the one-at-a-time loop keeps;
+    # the counts make sure the cases reach each of its three rules
+    seen = Counter()
+    for a, f in _link_pruning_cases():
+        if not f.column_support() or not is_generically_diagonalizable(a).verdict:
+            continue
+        full = min_sensors_diag(a, f)
+        lean = min_sensors_diag(a, f, minimize_links=True)
+        assert full == reference_min_sensors_diag(a, f), (a, f)
+        assert lean == reference_min_sensors_diag(a, f, minimize_links=True), (a, f)
+        linked = lean.C_out.column_support() & lean.X_S
+        comps = [(comp & lean.X_S, comp & lean.X_F_unmatched) for comp in scc(a)]
+        seen["keeps the largest of several"] += any(len(s) > 1 and max(s) in linked for s, _ in comps)
+        seen["dedicated beside shared"] += any(s and d for s, d in comps)
+        seen["drops a link"] += lean.C_out.nonzeros < full.C_out.nonzeros
+        seen["checked"] += 1
+    assert seen["checked"] >= 3100, seen
+    assert seen["drops a link"] >= 2000, seen
+    assert seen["keeps the largest of several"] >= 1000, seen
+    assert seen["dedicated beside shared"] >= 200, seen
+
+
+def test_alg1_link_pruning_makes_one_scc_and_one_reachable_call(monkeypatch):
+    # the earlier loop made one whole-graph search per shared state
+    A, _, F = diagonalizable_system(random.Random(12), 40)
+    full = min_sensors_diag(A, F)
+    components, searches = count_calls(monkeypatch, "scc"), count_calls(monkeypatch, "reachable")
+    lean = min_sensors_diag(A, F, minimize_links=True)
+    assert len(full.X_S) > 1 and lean.C_out.nonzeros < full.C_out.nonzeros
+    assert (len(components), len(searches)) == (1, 1)
 
 
 def test_alg1_rejections():
@@ -291,13 +345,17 @@ def _many_row_cases(rnd: random.Random, count: int) -> list[tuple[Pattern, Patte
     # mostly isolated states, which only a dedicated row each can observe,
     # so at least 5 rows are needed
     cases = [(Pattern(8, 8), eye(8))]
-    while len(cases) < count:
+    draws = 0
+    # 12 draws give the 11 random cases of 12; the cap fails a regression instead of hanging
+    while len(cases) < count and draws < 40:
+        draws += 1
         n = rnd.randint(8, 14)
         lonely = rnd.sample(range(1, n + 1), rnd.randint(4, n))
         a = rand_square(rnd, n, 0.15).zeroed(rows=lonely, cols=lonely)
         f = rand_nonempty_rows(rnd, 2, n, 0.5)
         if min_sensors_matching(Pattern(n, n, a.nonzeros), f).p_star >= 5:
             cases.append((a, f))
+    assert len(cases) == count, draws
     return cases
 
 
@@ -463,8 +521,10 @@ def test_alg4_rejections():
 
 def test_alg4_matches_closed_form_and_brute_force():
     rnd = random.Random(56)
-    checked = 0
-    while checked < 40:
+    checked = draws = 0
+    # 55 draws reach the 40 checks; the cap fails a regression instead of hanging
+    while checked < 40 and draws < 80:
+        draws += 1
         n = rnd.randint(2, 5)
         a = rand_gen_diag(rnd, n)
         p = rnd.randint(1, min(3, n))
@@ -479,6 +539,7 @@ def test_alg4_matches_closed_form_and_brute_force():
         best, _ = brute_force("min-actuators", a, c)
         assert placement.m_star == best
         checked += 1
+    assert checked == 40, draws
 
 
 def test_placements_deterministic():

@@ -199,8 +199,10 @@ def test_preserved_rejects_non_functional_tail():
 
 def test_preserved_random_augmentations():
     rnd = random.Random(35)
-    trials = 0
-    while trials < 200:
+    trials = draws = 0
+    # 303 draws reach the 200 trials; the cap fails a regression instead of hanging
+    while trials < 200 and draws < 400:
+        draws += 1
         n = rnd.randint(2, 6)
         a = rand_square(rnd, n)
         c = rand_pattern(rnd, rnd.randint(1, 3), n, 0.4)
@@ -214,6 +216,7 @@ def test_preserved_random_augmentations():
         ]
         assert sfo_preserved_under_functional_edge_addition(a, c, f, adds)
         trials += 1
+    assert trials == 200, draws
 
 
 def test_sfo_feasible_matches_report():

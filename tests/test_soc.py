@@ -178,8 +178,10 @@ def test_verdict_invariant_under_unreachable_permutation():
 
 def test_oracle_agreement_sample():
     rnd = random.Random(42)
-    checked = 0
-    while checked < 60:
+    checked = draws = 0
+    # 60 draws reach the 60 checks; the cap fails a regression instead of hanging
+    while checked < 60 and draws < 100:
+        draws += 1
         n = rnd.randint(2, 6)
         a = rand_square(rnd, n)
         b = rand_pattern(rnd, n, rnd.randint(1, 2), 0.4)
@@ -199,6 +201,7 @@ def test_oracle_agreement_sample():
         )
         assert (rep.verdict == "soc") == numeric
         checked += 1
+    assert checked == 60, draws
 
 
 def _check_linking(rep, a, b, c):
