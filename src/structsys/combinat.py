@@ -326,14 +326,16 @@ def matching_network(g: Bigraph, sense: Literal["minimize", "maximize", "count"]
     return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
 
 
-def flow_matching(g: Bigraph, flow: Flow) -> Matching:
-    """The matching a flow of :func:`matching_network` carries: the edges
-    whose arcs hold flow."""
+def flow_matching(g: Bigraph, flow: Flow) -> tuple[Matching, int]:
+    """The matching a flow of :func:`matching_network` carries, the edges
+    whose arcs hold flow, and its total cost in g."""
     mates = [0] * (g.right + 1)
-    for (r, l, _), f in zip(g.edges, flow.arc_flow[g.right :]):
+    weight = 0
+    for (r, l, c), f in zip(g.edges, flow.arc_flow[g.right :]):
         if f:
             mates[r] = l
-    return Matching.from_mates(mates)
+            weight += c
+    return Matching.from_mates(mates), weight
 
 
 def extremal_weight_max_matching(
@@ -341,16 +343,8 @@ def extremal_weight_max_matching(
 ) -> tuple[Matching, int]:
     """Maximum-cardinality matching of minimum or maximum total cost, from a
     minimum-cost maximum flow of :func:`matching_network`, and that total
-    cost, read off the flow's value and cost."""
-    net = matching_network(g, sense)
-    flow = min_cost_max_flow(net)
-    matching = flow_matching(g, flow)
-    if sense == "minimize" or not flow.value:
-        return matching, flow.cost
-    # a matched edge of cost c carries its unit at arc cost W + 1 - c; the
-    # first edge's arc follows the g.right source arcs
-    top = net.arcs[g.right][3] + g.edges[0][2]
-    return matching, flow.value * top - flow.cost
+    cost."""
+    return flow_matching(g, min_cost_max_flow(matching_network(g, sense)))
 
 
 def _successors(A: Pattern, reverse: bool = False) -> list[list[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import index
 from typing import Iterable
 
 from .combinat import extremal_weight_max_matching, scc
@@ -136,7 +137,11 @@ def scc_induced_diagonalizable(A: Pattern, scc_subset: Iterable[int]) -> bool:
     diagonalizable.
     """
     comps = scc(A)
-    chosen = sorted(set(scc_subset))
+    indices = map(index, scc_subset)  # a non-iterable raises TypeError here
+    try:
+        chosen = sorted(set(indices))
+    except TypeError as exc:
+        raise ValueError(f"component indices must be integers: {exc}") from None
     for k in chosen:
         if not 0 <= k < len(comps):
             raise ValueError(f"component index {k} out of range 0..{len(comps) - 1}")

@@ -33,7 +33,6 @@ from .core import (
     _pairs,
     check_shapes,
     pattern_bigraph,
-    stack,
 )
 
 
@@ -68,7 +67,8 @@ class CactusReport:
 def output_reachable_states(A: Pattern, C: Pattern) -> frozenset[int]:
     """States with a directed path to some output: the ancestors of the
     states that some output reads. Kept in A's memo for the last set of read
-    states, which outputs of one support share (alg2's probes, [C; 0])."""
+    states, which outputs of one support share (alg2's probes) and which
+    is_sfo reads again after its solve."""
     check_shapes(A, C=C)
     read = tuple(sorted(C.column_support()))
     # held as tuples, at about a quarter of the size of two sets
@@ -111,9 +111,10 @@ def cactus_size(A: Pattern, C: Pattern) -> CactusReport:
     return CactusReport(d, (q + 1) * d - weight, cert)
 
 
-def _cactus_count(A: Pattern, C: Pattern) -> tuple[int, FlowNetwork, Flow]:
-    """Size of a maximum cactus of (A, C), with the optimal flow and the
-    network it solves, without the stem count.
+@dataclass(frozen=True, slots=True)
+class CactusCount:
+    """Size of a maximum cactus of (A, C), with the optimal ``flow`` of the
+    size-only ``network`` it was read from, but no stem count.
 
     The network is :func:`cactus_bigraph`'s in the ``count`` sense: an edge
     of positive cost (a covering state edge or an output edge) is an arc of
@@ -121,25 +122,8 @@ def _cactus_count(A: Pattern, C: Pattern) -> tuple[int, FlowNetwork, Flow]:
     Every maximum flow matches all n states and a configuration covering d
     states costs n - d, so the size is n less the optimal cost.
     """
-    g, _ = cactus_bigraph(A, C)
-    net = matching_network(g, "count")
-    flow = min_cost_max_flow(net)
-    return g.right - flow.cost, net, flow
-
-
-@dataclass(frozen=True, slots=True)
-class SpareRowCactus:
-    """A maximum cactus of (A, [C; 0]), solved once so that putting any unit
-    row e_i in place of the empty row y' is priced by one search.
-
-    The empty row is inert: no edge enters its left vertex, so ``size``
-    equals ``cactus_size(A, C).size``. ``reachable`` holds the
-    output-reachable states of (A, C), and ``flow`` the optimal flow of the
-    size-only ``network`` of :func:`_cactus_count`.
-    """
 
     size: int
-    reachable: frozenset[int]
     network: FlowNetwork
     flow: Flow
 
@@ -147,29 +131,29 @@ class SpareRowCactus:
         """The states i whose unit row e_i raises the cactus size of (A, C).
 
         An output-unreachable state always does: it becomes a one-state stem.
-        For a reachable one, the networks of [C; 0] and [C; e_i] differ by
-        the cost-0 arc x_i -> y' alone, which closes a cycle with the
-        cheapest residual path from y' to x_i. The optimum cost falls, and
-        the size grows, exactly when that path's cost is negative. One
-        residual search from y' prices every state at once.
+        Its arcs all cost 1, so its mate's sink arc and its matched arc,
+        both reversed, give it a residual path of negative cost from the
+        sink. For a reachable one, the networks of C and [C; e_i] differ by
+        a new output y' alone: its arc to the sink and the cost-0 arc
+        x_i -> y' close a cycle with the cheapest residual path from the
+        sink to x_i. The optimum cost falls, and the size grows, exactly
+        when that path's cost is negative. One residual search from the sink
+        prices every state at once.
         """
         wanted = frozenset(states)
-        reached = wanted & self.reachable
-        if not reached:
+        if not wanted:
             return wanted
-        # y' is the last left vertex, the node before the sink; node i of the
-        # matching network is the right vertex x_i
-        dist = residual_distances(self.network, self.flow, self.network.sink - 1)
-        return (wanted - reached) | {i for i in reached if dist[i] is not None and dist[i] < 0}
+        # node i of the matching network is the right vertex x_i
+        dist = residual_distances(self.network, self.flow, self.network.sink)
+        return frozenset(i for i in wanted if dist[i] is not None and dist[i] < 0)
 
 
-def spare_row_cactus(A: Pattern, C: Pattern) -> SpareRowCactus:
-    """Solve the size-only cactus of (A, [C; 0]) once and keep its optimal
-    flow."""
-    n = check_shapes(A, C=C)
-    size, net, flow = _cactus_count(A, stack(C, Pattern(1, n)))
-    # [C; 0] reads the states C reads: the memo entry cactus_bigraph just wrote
-    return SpareRowCactus(size, output_reachable_states(A, C), net, flow)
+def cactus_count(A: Pattern, C: Pattern) -> CactusCount:
+    """Solve the size-only cactus of (A, C) once and keep its optimal flow."""
+    g, _ = cactus_bigraph(A, C)
+    net = matching_network(g, "count")
+    flow = min_cost_max_flow(net)
+    return CactusCount(g.right - flow.cost, net, flow)
 
 
 def input_cactus_size(A: Pattern, B: Pattern) -> int:
@@ -177,7 +161,7 @@ def input_cactus_size(A: Pattern, B: Pattern) -> int:
     cycles of (A, B) are output stems and cycles of (A^T, B^T). Only the
     size is solved for, not the stem count."""
     check_shapes(A, B)
-    return _cactus_count(A.transpose(), B.transpose())[0]
+    return cactus_count(A.transpose(), B.transpose()).size
 
 
 @dataclass(frozen=True, slots=True, init=False)

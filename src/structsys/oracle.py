@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # numpy is imported inside the numeric oracles that use it
@@ -33,6 +34,13 @@ class OracleConfig:
     float_tolerance: ClassVar[float] = 1e-8
 
     def __post_init__(self) -> None:
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            try:
+                number = index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
+            object.__setattr__(self, name, number)
         if self.trials < 1:
             raise ValueError("at least one trial is required")
 

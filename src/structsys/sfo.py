@@ -19,13 +19,7 @@ from typing import Iterable, Literal
 
 from .core import Pattern, PreconditionError, check_shapes, check_states, shares_empty_sets, stack
 from .diag import is_generically_diagonalizable
-from .grank import (
-    _cactus_count,
-    grank,
-    output_reachable_states,
-    rank_raising_columns,
-    spare_row_cactus,
-)
+from .grank import cactus_count, grank, output_reachable_states, rank_raising_columns
 
 Condition = Literal["b", "c", "d"]
 
@@ -59,8 +53,8 @@ def functional_states(F: Pattern) -> frozenset[int]:
 def sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
     """Bare SFO verdict, skipping the report of :func:`is_sfo`: no solve when
     some functional state is output-unreachable, else one size-only cactus
-    solve of [C; 0] and one residual search
-    (:class:`structsys.grank.SpareRowCactus`).
+    solve of (A, C) and one residual search from its sink
+    (:meth:`structsys.grank.CactusCount.raising_states`).
     """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
@@ -68,7 +62,7 @@ def sfo_feasible(A: Pattern, C: Pattern, F: Pattern) -> bool:
         return True
     if x_f - output_reachable_states(A, C):
         return False
-    return not spare_row_cactus(A, C).raising_states(x_f)
+    return not cactus_count(A, C).raising_states(x_f)
 
 
 def is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
@@ -76,16 +70,17 @@ def is_sfo(A: Pattern, C: Pattern, F: Pattern) -> SfoReport:
 
     The ``failing_states`` are the functional states whose unit row raises
     the cactus size (output-unreachable ones always do), all found by one
-    residual search of the size-only cactus of [C; 0]; the verdict is true
-    when there are none. The size-only cactus of [C; F] is solved only to
-    report ``d_ACF`` on a false verdict.
+    residual search from the sink of the size-only cactus of (A, C); the
+    verdict is true when there are none. The size-only cactus of [C; F] is
+    solved only to report ``d_ACF`` on a false verdict.
     """
     check_shapes(A, C=C, F=F)
     x_f = functional_states(F)
-    base = spare_row_cactus(A, C)
+    base = cactus_count(A, C)
+    # read before [C; F] replaces A's memo entry of C's read states
+    unreachable = x_f - output_reachable_states(A, C)
     failing = base.raising_states(x_f)
-    d_acf = _cactus_count(A, stack(C, F))[0] if failing else base.size
-    unreachable = x_f - base.reachable
+    d_acf = cactus_count(A, stack(C, F)).size if failing else base.size
     return SfoReport(not failing, "general-cactus", x_f, unreachable, base.size, d_acf, failing)
 
 

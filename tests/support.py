@@ -7,6 +7,7 @@ import importlib.util
 import json
 import random
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from typing import Any, Iterable, Iterator, Sequence
@@ -29,8 +30,15 @@ from structsys import (
     unit_row,
 )
 from structsys.cli import _TOP_KEYS, MAX_DIMENSION, SystemFileError, parse_system
-from structsys.combinat import Flow, FlowNetwork, _residual, matching_network, min_cost_max_flow
-from structsys.core import Bigraph, pattern_bigraph
+from structsys.combinat import (
+    Flow,
+    FlowNetwork,
+    _residual,
+    matching_network,
+    min_cost_max_flow,
+    residual_distances,
+)
+from structsys.core import Bigraph, check_shapes, pattern_bigraph
 from structsys.diag import loop_augmented_bigraph
 from structsys.grank import cactus_bigraph, linking_network, output_reachable_states
 from structsys.placement import _matched_split
@@ -334,13 +342,13 @@ def count_searches(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(sys.modules[__name__], "reference_dijkstra", counting)
     return count_calls(monkeypatch, "_dijkstra"), reference
 
-def count_calls(monkeypatch, engine: str) -> list:
-    """Make every call of the ``structsys.combinat`` function ``engine``
+def count_calls(monkeypatch, engine: str, module: str = "combinat") -> list:
+    """Make every call of the ``structsys.<module>`` function ``engine``
     append its first argument to the returned list. The package re-exports
     functions under its submodules' names (``structsys.grank`` is the
     function), so every alias of the engine is reached through
     ``sys.modules``."""
-    real = getattr(sys.modules["structsys.combinat"], engine)
+    real = getattr(sys.modules[f"structsys.{module}"], engine)
     calls: list = []
 
     def counting(*args, **kwargs):
@@ -481,6 +489,47 @@ def reference_cactus_bigraph(A: Pattern, C: Pattern) -> tuple[Bigraph, int]:
 
 
 # ---------------------------------------------------------------------------
+# reference unit-row pricing: the earlier size-only cactus of (A, [C; 0]),
+# whose empty output row y' is the origin of the residual search
+
+
+def reference_cactus_count(A: Pattern, C: Pattern) -> tuple[int, FlowNetwork, Flow]:
+    """Size of a maximum cactus of (A, C), with the optimal flow and the
+    network it solves, without the stem count."""
+    g, _ = cactus_bigraph(A, C)
+    net = matching_network(g, "count")
+    flow = min_cost_max_flow(net)
+    return g.right - flow.cost, net, flow
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceSpareRowCactus:
+    """A maximum cactus of (A, [C; 0]), solved once so that putting any unit
+    row e_i in place of the empty row y' is priced by one search."""
+
+    size: int
+    reachable: frozenset[int]
+    network: FlowNetwork
+    flow: Flow
+
+    def raising_states(self, states: Iterable[int]) -> frozenset[int]:
+        wanted = frozenset(states)
+        reached = wanted & self.reachable
+        if not reached:
+            return wanted
+        # y' is the last left vertex, the node before the sink; node i of the
+        # matching network is the right vertex x_i
+        dist = residual_distances(self.network, self.flow, self.network.sink - 1)
+        return (wanted - reached) | {i for i in reached if dist[i] is not None and dist[i] < 0}
+
+
+def reference_spare_row_cactus(A: Pattern, C: Pattern) -> ReferenceSpareRowCactus:
+    n = check_shapes(A, C=C)
+    size, net, flow = reference_cactus_count(A, stack(C, Pattern(1, n)))
+    return ReferenceSpareRowCactus(size, output_reachable_states(A, C), net, flow)
+
+
+# ---------------------------------------------------------------------------
 # reference linking network: the earlier two-layer network that splits every
 # vertex (u, x^2, x^1 and y) into an in/out pair, with its offset decode
 
@@ -553,8 +602,8 @@ def bench_gen():
 def bench_family_networks() -> Iterator[tuple[str, FlowNetwork]]:
     """Every flow network the 200 benchmark systems (``verdicts_family()``
     then ``placement_family()``) build, with its kind: the diag network, the
-    cactus of (A, [C; F]), the spare-row cactus of (A, [C; 0]), the input
-    cactus, each of these three also in the size-only ``count`` sense, the
+    cactus of (A, [C; F]), the base cactus of (A, C), the input cactus, each
+    of these three also in the size-only ``count`` sense, the
     matched-split network of F's states, and the linking networks of SOC
     (input cost 0) and actuator placement (input cost 1). Networks are made
     one at a time, so none is held."""
@@ -565,7 +614,7 @@ def bench_family_networks() -> Iterator[tuple[str, FlowNetwork]]:
         yield "diag", matching_network(loop_augmented_bigraph(A), "minimize")
         for kind, g in (
             ("cactus", cactus_bigraph(A, stack(C, F))[0]),
-            ("spare-row", cactus_bigraph(A, stack(C, Pattern(1, n)))[0]),
+            ("base cactus", cactus_bigraph(A, C)[0]),
             ("input cactus", cactus_bigraph(A.transpose(), B.transpose())[0]),
         ):
             yield kind, matching_network(g, "maximize")

@@ -140,6 +140,16 @@ def test_scc_induced_rejects_bad_index():
         scc_induced_diagonalizable(COUNTER_A, [99])
 
 
+def test_scc_induced_rejects_non_integer_indices():
+    # as an index out of range does, with ValueError; integral ones still work
+    for bad in ([1.5], [0.0], ["0"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            scc_induced_diagonalizable(COUNTER_A, bad)
+    with pytest.raises(ValueError, match=r"component index 99 out of range 0\.\.3"):
+        scc_induced_diagonalizable(COUNTER_A, [99])
+    assert scc_induced_diagonalizable(COUNTER_A, [True]) == scc_induced_diagonalizable(COUNTER_A, [1])
+
+
 def test_scc_heredity_sample():
     # diagonalizable patterns stay diagonalizable on every component union
     rnd = random.Random(23)

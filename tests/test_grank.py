@@ -24,24 +24,22 @@ from structsys import (
 )
 from structsys.cli import parse_system
 from structsys.combinat import extremal_weight_max_matching, matching_network
-from structsys.grank import (
-    _cactus_count,
-    cactus_bigraph,
-    output_reachable_states,
-    spare_row_cactus,
-)
+from structsys.grank import cactus_bigraph, cactus_count, output_reachable_states
 from structsys.oracle import field_rank, sample_field_realization
 from support import (
     COUNTER_A,
     COUNTER_C,
     COUNTER_F,
+    FIXTURE_NAMES,
     bench_gen,
     chain_pattern,
     count_searches,
     eye,
+    fixture_path,
     rand_pattern,
     rand_square,
     reference_cactus_bigraph,
+    reference_spare_row_cactus,
 )
 
 SOC_A = Pattern(5, 5, {(2, 1), (3, 2), (4, 1), (4, 5)})
@@ -236,10 +234,9 @@ def test_cactus_shape_is_decoded_from_the_certificate_edges():
         assert (rep.size, rep.stems) == (stems + covering, stems)
 
 
-def test_spare_row_cactus_prices_every_unit_row():
-    # the empty row leaves the size alone, and one residual search finds the
-    # states whose unit row raises it, reachable or not, as one cactus solve
-    # per state does
+def test_cactus_count_prices_every_unit_row():
+    # one residual search from the sink finds the states whose unit row
+    # raises the size, reachable or not, as one cactus solve per state does
     rnd = random.Random(14)
     raised_some = 0
     for trial in range(400):
@@ -248,16 +245,60 @@ def test_spare_row_cactus_prices_every_unit_row():
         p = rnd.randint(0, 3) if trial % 2 else rnd.randint((n + 1) // 2, n)
         c = rand_pattern(rnd, p, n, rnd.uniform(0.05, 0.5))
         d = cactus_size(a, c).size
-        base = spare_row_cactus(a, c)
-        assert (base.size, base.network.sink) == (d, 2 * n + p + 2)
-        assert base.reachable == output_reachable_states(a, c)
+        base = cactus_count(a, c)
+        assert (base.size, base.network.sink) == (d, 2 * n + p + 1)
         expected = frozenset(
             i for i in range(1, n + 1) if cactus_size(a, stack(c, unit_row(n, i))).size > d
         )
         assert base.raising_states(range(1, n + 1)) == expected
         assert base.raising_states(()) == frozenset()
-        raised_some += bool(expected & base.reachable)
+        raised_some += bool(expected & output_reachable_states(a, c))
     assert raised_some >= 20
+
+
+def _prices_as_the_spare_row(a: Pattern, c: Pattern, seen: dict[str, int]) -> None:
+    """cactus_count(a, c) against the solve of (a, [c; 0]) searched from its
+    empty row y': the same size and raising states, and the same flow and
+    potentials on the arcs and nodes the two networks share."""
+    ours, ref = cactus_count(a, c), reference_spare_row_cactus(a, c)
+    states = range(1, a.rows + 1)
+    raising = ours.raising_states(states)
+    assert (ours.size, raising) == (ref.size, ref.raising_states(states))
+    # [c; 0] adds y' as the node before the sink and its sink arc as the last arc
+    assert ref.flow.arc_flow == ours.flow.arc_flow + (0,)
+    assert ref.flow.potentials[:-2] + ref.flow.potentials[-1:] == ours.flow.potentials
+    reach = output_reachable_states(a, c)
+    seen["unreachable raising"] += len(raising - reach)
+    seen["reachable raising"] += len(raising & reach)
+    seen["raising nothing"] += not raising
+
+
+def test_sink_search_prices_as_the_spare_row_search():
+    from structsys.cli import load_system
+
+    seen = {"unreachable raising": 0, "reachable raising": 0, "raising nothing": 0}
+    for name in FIXTURE_NAMES:
+        s = load_system(fixture_path(name))
+        for c in (s.C, stack(s.C, s.F)):
+            _prices_as_the_spare_row(s.A, c, seen)
+    gen = bench_gen()
+    for doc in gen.verdicts_family() + gen.placement_family():
+        s = parse_system(doc)
+        for c in (s.C, stack(s.C, s.F)):
+            _prices_as_the_spare_row(s.A, c, seen)
+    rnd = random.Random(16)
+    shapes = {"n = 0": 0, "p = 0": 0}
+    for trial in range(3000):
+        n = rnd.randint(0, 10) if trial % 20 else 0
+        p = rnd.randint(0, 4) if trial % 7 else 0
+        a = rand_square(rnd, n, rnd.uniform(0.05, 0.5))
+        c = rand_pattern(rnd, p, n, rnd.uniform(0.05, 0.5))
+        shapes["n = 0"] += n == 0
+        shapes["p = 0"] += p == 0
+        _prices_as_the_spare_row(a, c, seen)
+    assert min(shapes.values()) >= 150, shapes
+    assert seen["unreachable raising"] >= 4000 and seen["reachable raising"] >= 500, seen
+    assert seen["raising nothing"] >= 600, seen
 
 
 def _reference_cactus(a: Pattern, c: Pattern) -> tuple[int, int, int]:
@@ -270,7 +311,7 @@ def _reference_cactus(a: Pattern, c: Pattern) -> tuple[int, int, int]:
 
 
 def test_states_only_cactus_equals_the_listed_reference():
-    # cactus_size, input_cactus_size and spare_row_cactus against the
+    # cactus_size, input_cactus_size and cactus_count against the
     # materialised block, on n = 0..9 with p = 0, p >= n/2 and all-zero rows
     rnd = random.Random(15)
     seen = {"p = 0": 0, "n = 0": 0, "p >= n/2": 0, "zero row": 0}
@@ -304,14 +345,14 @@ def test_states_only_cactus_equals_the_listed_reference():
         b = rand_pattern(rnd, n, m, rnd.uniform(0.05, 0.5))
         assert input_cactus_size(a, b) == _reference_cactus(a.transpose(), b.transpose())[1]
 
-        spare = spare_row_cactus(a, c)
+        count = cactus_count(a, c)
         _, size0, _ = _reference_cactus(a, stack(c, Pattern(1, n)))
-        assert (spare.size, spare.flow.cost) == (size0, n - size0) and size0 == size
-        assert spare.network.sink == 2 * n + p + 2
+        assert (count.size, count.flow.cost) == (size0, n - size0) and size0 == size
+        assert count.network.sink == 2 * n + p + 1
         raising = frozenset(
             i for i in range(1, n + 1) if _reference_cactus(a, stack(c, unit_row(n, i)))[1] > size
         )
-        assert spare.raising_states(range(1, n + 1)) == raising
+        assert count.raising_states(range(1, n + 1)) == raising
     assert min(seen.values()) >= 100, seen
 
 
@@ -327,8 +368,8 @@ def test_size_only_cactus_equals_cactus_size_on_the_bench_systems():
             (a, stack(c, f)),
             (a.transpose(), b.transpose()),
         ):
-            assert _cactus_count(left, right)[0] == cactus_size(left, right).size
-        assert spare_row_cactus(a, c).size == cactus_size(a, c).size
+            assert cactus_count(left, right).size == cactus_size(left, right).size
+        assert cactus_count(a, c).size == cactus_size(a, c).size
         assert input_cactus_size(a, b) == cactus_size(a.transpose(), b.transpose()).size
 
 

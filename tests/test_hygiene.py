@@ -5,8 +5,10 @@ No linter ships with the package, so these checks read the sources with
 ``ast``: an import that nothing uses is dead code, an export list that
 names something missing breaks ``from structsys import *``, a name
 defined in two modules is one definition too many, an engine that
-calls itself can raise ``RecursionError`` on a deep enough input, and a
-module that handles a pattern's memo itself writes a second cache policy.
+calls itself can raise ``RecursionError`` on a deep enough input, a
+module that handles a pattern's memo itself writes a second cache policy,
+and a module that indexes a flow network outside ``combinat`` knows a
+layout that its builder owns.
 """
 
 from __future__ import annotations
@@ -220,3 +222,54 @@ def test_only_core_handles_the_pattern_memo():
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"]
     assert len(modules) >= 9
     assert [hit for path in modules for hit in _memo_handlers(path)] == []
+
+
+def _layout_reads(path: Path) -> list[str]:
+    """Places that index a flow's ``arc_flow`` or a network's ``arcs``, or
+    do arithmetic with a network's ``sink`` or ``source``: each reads the
+    arc or node layout that the network's builder owns."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Subscript):
+            operands = [node.value]
+            names = ("arc_flow", "arcs")
+        elif isinstance(node, ast.BinOp):
+            operands = [node.left, node.right]
+            names = ("sink", "source")
+        elif isinstance(node, ast.AugAssign):
+            operands = [node.value]
+            names = ("sink", "source")
+        else:
+            continue
+        hits += [
+            f"{path.name}:{node.lineno} {side.attr}"
+            for side in operands
+            if isinstance(side, ast.Attribute) and side.attr in names
+        ]
+    return sorted(hits)
+
+
+def test_only_combinat_reads_a_network_layout():
+    # builders keep their layout to themselves; callers decode through the
+    # engine (flow_matching) or by the builder's own arc order (max_linking)
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "combinat.py"]
+    assert len(modules) >= 9
+    assert [hit for path in modules for hit in _layout_reads(path)] == []
+
+
+def test_the_layout_check_sees_indexing_and_node_arithmetic(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "def f(net, flow, sink):\n"
+        "    used = flow.arc_flow[3:] + [net.arcs[0]]\n"
+        "    y = net.sink - 1\n"
+        "    y += net.source\n"
+        "    return sink + 1, net.sink, iter(flow.arc_flow)\n",
+        encoding="utf-8",
+    )
+    assert _layout_reads(module) == [
+        "probe.py:2 arc_flow",
+        "probe.py:2 arcs",
+        "probe.py:3 sink",
+        "probe.py:4 source",
+    ]

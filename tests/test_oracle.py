@@ -49,6 +49,17 @@ def test_config_validation():
     assert OracleConfig().modulus == 2**31 - 1
 
 
+def test_config_rejects_non_integer_seed_and_trials():
+    # each would fail later in range(cfg.trials) or cfg.seed & ...
+    for kwargs in ({"trials": 1.5}, {"seed": 1.5}, {"trials": "3"}, {"seed": "0"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OracleConfig(**kwargs)
+    with pytest.raises(ValueError, match="at least one trial is required"):
+        OracleConfig(trials=0)
+    cfg = OracleConfig(seed=True, trials=3)
+    assert (type(cfg.seed), cfg.seed, cfg.trials) == (int, 1, 3)
+
+
 def test_realization_validation():
     p = Pattern(1, 2, {(1, 1)})
     with pytest.raises(ValueError):

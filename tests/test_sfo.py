@@ -23,7 +23,7 @@ from structsys import (
     sfo_preserved_under_functional_edge_addition,
     unit_row,
 )
-from structsys.grank import output_reachable_states, spare_row_cactus
+from structsys.grank import cactus_count, output_reachable_states
 from support import (
     COUNTER_A,
     COUNTER_C,
@@ -338,7 +338,7 @@ def test_is_sfo_equals_the_per_state_reference_on_random_instances():
 
 
 def test_is_sfo_makes_one_flow_solve_when_sfo_and_two_when_not(monkeypatch):
-    # one for the cactus of [C; 0], and one for [C; F] only to report its
+    # one for the cactus of (A, C), and one for [C; F] only to report its
     # size on a false verdict; the per-state diagnosis is a residual search,
     # however many functional states there are
     solves = count_flow_solves(monkeypatch)
@@ -368,7 +368,7 @@ def test_sfo_feasible_equals_the_two_cactus_reference_on_random_instances():
         seen["sfo" if ours else "not sfo"] += 1
         seen["reachable, not sfo"] += not ours and functional_states(F) <= output_reachable_states(A, C)
         seen["not diagonalizable"] += not is_generically_diagonalizable(A).verdict
-    # the verdicts the spare-row solve decides, past the reachability exit
+    # the verdicts the size-only solve decides, past the reachability exit
     assert seen["reachable, not sfo"] >= 100 and min(seen.values()) >= 100, seen
 
 
@@ -406,21 +406,43 @@ def test_sfo_feasible_makes_one_flow_solve_and_none_when_a_state_is_unreachable(
     assert len(solves) == 1
 
 
-def test_spare_row_cactus_makes_one_reachability_search_and_sfo_feasible_one(monkeypatch):
+def test_cactus_count_makes_one_reachability_search_and_sfo_feasible_one(monkeypatch):
     # A keeps its last search in its memo, so each part starts from a fresh copy
     searches = count_calls(monkeypatch, "reachable")
     a = Pattern(4, 4, COUNTER_A.nonzeros)
-    base = spare_row_cactus(a, COUNTER_C)
+    cactus_count(a, COUNTER_C)
     assert len(searches) == 1
-    assert base.reachable == output_reachable_states(a, COUNTER_C) == {1, 2, 3, 4}
+    assert output_reachable_states(a, COUNTER_C) == {1, 2, 3, 4}
+    assert len(searches) == 1
     searches.clear()
-    # every functional state is reachable, so the spare-row solve runs
+    # every functional state is reachable, so the size-only solve runs
     a = Pattern(4, 4, COUNTER_A.nonzeros)
     assert not sfo_feasible(a, COUNTER_C, COUNTER_F)
     assert len(searches) == 1
     # outputs reading the same states, as alg2's two probes do, reuse it
     sfo_feasible(a, Pattern(1, 4, {(1, 1), (1, 2), (1, 3), (1, 4)}), COUNTER_F)
     assert len(searches) == 1
+    # is_sfo reads C's states before the [C; F] solve replaces the memo entry
+    searches.clear()
+    a = Pattern(4, 4, COUNTER_A.nonzeros)
+    rep = is_sfo(a, Pattern(1, 4, {(1, 4)}), COUNTER_F)
+    assert rep.unreachable_functional_states == rep.failing_states == {1}
+    assert len(searches) == 2
+
+
+def test_sfo_feasible_and_is_sfo_stack_no_rows_on_a_true_triple(monkeypatch):
+    # the unit rows are priced on the network of (A, C) itself, so no padded
+    # [C; 0] is stacked; is_sfo stacks [C; F] only on a false verdict
+    stacks = count_calls(monkeypatch, "stack", "core")
+    n = 6
+    everything = Pattern(1, n, frozenset((1, j) for j in range(1, n + 1)))
+    assert sfo_feasible(Pattern(n, n), eye(n), everything)
+    assert is_sfo(Pattern(n, n), eye(n), everything).verdict
+    assert sfo_feasible(COUNTER_A, COUNTER_C, Pattern(1, 4, {(1, 4)}))
+    assert is_sfo(COUNTER_A, COUNTER_C, Pattern(1, 4, {(1, 4)})).verdict
+    assert len(stacks) == 0
+    assert not is_sfo(COUNTER_A, COUNTER_C, COUNTER_F).verdict
+    assert len(stacks) == 1
 
 
 def test_is_sfo_diag_matches_f_only_on_a_false_verdict_and_shares_c_with_d(monkeypatch):
