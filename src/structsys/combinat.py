@@ -17,25 +17,45 @@ from .core import Bigraph, Matching, Pattern, check_shapes, check_states
 _INF = 1 << 60
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FlowNetwork:
-    """Arc-list flow network with integer capacities and costs."""
+    """Flow network with integer capacities and costs, held as the arc
+    columns ``(tails, heads, capacities, costs)``, arc k at index k, with no
+    tuple per arc; ``arcs`` builds the ``(tail, head, capacity, cost)``
+    tuples on demand, and equal arcs, nodes and ends make equal networks."""
 
     nodes: int
-    arcs: tuple[tuple[int, int, int, int], ...]  # (tail, head, capacity, cost)
+    columns: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     source: int
     sink: int
 
-    def __post_init__(self) -> None:
-        arcs, nodes = tuple(map(tuple, self.arcs)), self.nodes
-        object.__setattr__(self, "arcs", arcs)
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
+    def __init__(self, nodes: int, arcs: Iterable[tuple[int, ...]], source: int, sink: int) -> None:
+        arcs = tuple(map(tuple, arcs))
+        self._store(nodes, tuple(zip(*arcs)) or ((),) * 4, source, sink)
         for tail, head, cap, cost in arcs:
             if not (0 <= tail < nodes and 0 <= head < nodes):
                 raise ValueError(f"arc ({tail},{head}) endpoint out of range")
             if cap < 0 or cost < 0:
                 raise ValueError(f"arc ({tail},{head}) needs non-negative capacity and cost")
+
+    @classmethod
+    def _from_columns(cls, nodes: int, columns: tuple, source: int, sink: int) -> FlowNetwork:
+        """Network over columns the caller guarantees valid: only the ends are checked."""
+        net = object.__new__(cls)
+        net._store(nodes, columns, source, sink)
+        return net
+
+    def _store(self, nodes: int, columns: tuple, source: int, sink: int) -> None:
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        if not (0 <= source < nodes and 0 <= sink < nodes):
+            raise ValueError(f"source {source} or sink {sink} out of range")
+        for name, value in (("nodes", nodes), ("columns", columns), ("source", source), ("sink", sink)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(zip(*self.columns))
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,17 +78,19 @@ class Flow:
 def _residual(net: FlowNetwork) -> tuple[list[int], list[int], list[int], list[list[int]]]:
     """Residual graph of the zero flow: residual edge 2k is arc k forward and
     2k + 1 its reverse, with their heads, capacities, costs, and per node the
-    residual edges leaving it in arc order."""
-    head: list[int] = []
-    rcap: list[int] = []
-    rcost: list[int] = []
+    residual edges leaving it in index order: slice assignments from the arc
+    columns and one append per residual edge, with no tuple per arc."""
+    tails, heads, caps, costs = net.columns
+    size = 2 * len(tails)
+    head, rcap, rcost = [0] * size, [0] * size, [0] * size
+    head[::2], head[1::2] = heads, tails
+    rcap[::2] = caps
+    rcost[::2], rcost[1::2] = costs, [-c for c in costs]
+    tail = [0] * size  # residual edge e leaves the head of its partner e ^ 1
+    tail[::2], tail[1::2] = tails, heads
     adj: list[list[int]] = [[] for _ in range(net.nodes)]
-    for k, (u, v, cap, cost) in enumerate(net.arcs):
-        head += (v, u)
-        rcap += (cap, 0)
-        rcost += (cost, -cost)
-        adj[u].append(2 * k)
-        adj[v].append(2 * k + 1)
+    for e, u in enumerate(tail):
+        adj[u].append(e)
     return head, rcap, rcost, adj
 
 
@@ -132,7 +154,9 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
     runs only once no zero-cost path is left. The run also stops as soon as
     the flow value reaches the capacity out of the source or into the sink,
     whichever is smaller: no augmenting path can exist then, so the failing
-    BFS and search that would close the run are skipped.
+    BFS and search that would close the run are skipped. Value and cost are
+    summed as each path is pushed: its edges all have reduced cost 0, so it
+    costs ``pi[sink] - pi[source]``, and no O(E) sum closes the run.
 
     The result is deterministic: arcs are scanned in index order, the heap
     orders by distance then node, and where several optima tie, the search
@@ -141,7 +165,7 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
     """
     nodes, source, sink = net.nodes, net.source, net.sink
     head, rcap, rcost, adj = _residual(net)
-    pot = [0] * nodes
+    pot, value, cost = [0] * nodes, 0, 0
     # no flow exceeds the capacity leaving the source or entering the sink
     left = min(sum(rcap[e] for e in adj[source]), sum(rcap[e ^ 1] for e in adj[sink]))
     while left:
@@ -169,35 +193,33 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
         while True:
             v = head[path[-1] ^ 1] if path else sink
             if v == source:
-                bottleneck = min(rcap[e] for e in path)
+                bottleneck = min(map(rcap.__getitem__, path))
                 for e in path:
                     rcap[e] -= bottleneck
                     rcap[e ^ 1] += bottleneck
+                value += bottleneck
+                cost += bottleneck * (pot[sink] - pot[source])
                 left -= bottleneck
                 if not left:
                     break
                 path = []
                 continue
             out, i = adj[v], cursor[v]
-            lu, pv = level[v] - 1, pot[v]
-            while i < len(out):
+            end, lu, pv = len(out), level[v] - 1, pot[v]
+            while i < end:
                 u, e = head[out[i]], out[i] ^ 1
                 if rcap[e] and level[u] == lu and rcost[e] + pot[u] == pv:
                     break
                 i += 1
             cursor[v] = i
-            if i < len(out):
+            if i < end:
                 path.append(e)
             elif path:  # dead end: drop the node and step back
                 level[v] = -1
                 path.pop()
             else:
                 break
-    flow = rcap[1::2]
-    # net outflow of the source: flow on its out-arcs less flow on its in-arcs
-    value = sum(rcap[e + 1] if e % 2 == 0 else -rcap[e] for e in adj[source])
-    cost = sum(f * a[3] for f, a in zip(flow, net.arcs))
-    return Flow(tuple(flow), value, cost, tuple(pot))
+    return Flow(tuple(rcap[1::2]), value, cost, tuple(pot))
 
 
 def residual_distances(net: FlowNetwork, flow: Flow, origin: int) -> list[int | None]:
@@ -209,14 +231,17 @@ def residual_distances(net: FlowNetwork, flow: Flow, origin: int) -> list[int | 
     does. The search is then one Dijkstra run, and a cheapest path closed by
     an added arc is the cheapest cycle through that arc: adding the arc
     lowers the optimum cost by exactly that cycle's cost when it is negative
-    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).
+    (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9). A flow of
+    another arc or node count, or an origin out of range, is a ValueError.
     """
+    arc_flow, pot = flow.arc_flow, flow.potentials
+    if (len(arc_flow), len(pot)) != (len(net.columns[0]), net.nodes):
+        raise ValueError(f"flow of {len(arc_flow)} arcs and {len(pot)} potentials does not fit the network")
+    if not 0 <= origin < net.nodes:
+        raise ValueError(f"origin {origin} out of range")
     head, rcap, rcost, adj = _residual(net)
-    for k, f in enumerate(flow.arc_flow):
-        if f:
-            rcap[2 * k] -= f
-            rcap[2 * k + 1] += f
-    pot = flow.potentials
+    rcap[::2] = [cap - f for cap, f in zip(net.columns[2], arc_flow)]
+    rcap[1::2] = arc_flow
     dist = _dijkstra(head, rcap, rcost, adj, pot, origin, -1)
     shift = pot[origin]
     return [d - shift + pot[v] if d < _INF else None for v, d in enumerate(dist)]
@@ -309,7 +334,7 @@ def matching_network(g: Bigraph, sense: Literal["minimize", "maximize", "count"]
     max-flow phase pins the cardinality, so cost only discriminates among
     maximum matchings.
     """
-    edges = g.edges
+    edges, right, left = g.edges, g.right, g.left
     if sense == "minimize":
         costs = [c for _, _, c in edges]
     elif sense == "maximize":
@@ -319,11 +344,11 @@ def matching_network(g: Bigraph, sense: Literal["minimize", "maximize", "count"]
         costs = [0 if c else 1 for _, _, c in edges]
     else:
         raise ValueError(f"unknown sense {sense!r}")
-    sink = g.right + g.left + 1
-    arcs = [(0, r, 1, 0) for r in range(1, g.right + 1)]
-    arcs += [(r, g.right + l, 1, k) for (r, l, _), k in zip(edges, costs)]
-    arcs += [(g.right + l, sink, 1, 0) for l in range(1, g.left + 1)]
-    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
+    sink = right + left + 1
+    tails = (*(0,) * right, *[r for r, _, _ in edges], *range(right + 1, sink))
+    heads = (*range(1, right + 1), *[right + l for _, l, _ in edges], *(sink,) * left)
+    costs = (*(0,) * right, *costs, *(0,) * left)
+    return FlowNetwork._from_columns(sink + 1, (tails, heads, (1,) * len(costs), costs), 0, sink)
 
 
 def flow_matching(g: Bigraph, flow: Flow) -> tuple[Matching, int]:

@@ -214,10 +214,10 @@ def linking_network(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -
     the source) and y_j one out-arc (to the sink), each of capacity 1, so they
     carry at most one unit without a split. Nodes: source 0, u_i = i,
     x_i^2 = m + i, x_i^1 in at m + n - 1 + 2i and out at m + n + 2i,
-    y_j = m + 3n + j, sink m + 3n + p + 1. Arcs, in this order: the B, A_r
-    and C arcs, each in sorted-nonzero order, so :func:`max_linking` reads
-    their flow by position; then the m + n source arcs, the n x^1 split arcs
-    and the p sink arcs.
+    y_j = m + 3n + j, sink m + 3n + p + 1. Arcs, written as columns from the
+    patterns' flat entries, in this order: the B, A_r and C arcs, each in
+    sorted-nonzero order, so :func:`max_linking` reads their flow by
+    position; then the m + n source, n x^1 split and p sink arcs.
 
     Input arcs cost ``input_cost`` and every other arc costs 0. With B the
     identity and cost 1 this is the actuator-placement network: a minimum
@@ -228,13 +228,13 @@ def linking_network(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -
     x1 = m + n - 1  # x_i^1 enters at x1 + 2i and leaves at x1 + 2i + 1
     y = m + 3 * n
     sink = y + p + 1
-    arcs = [(i, x1 + 2 * j, 1, input_cost) for j, i in B.sorted_nonzeros()]  # u_i -> x_j^1
-    arcs += [(m + i, x1 + 2 * j, 1, 0) for j, i in A_r.sorted_nonzeros()]  # x_i^2 -> x_j^1
-    arcs += [(x1 + 2 * i + 1, y + j, 1, 0) for j, i in C.sorted_nonzeros()]  # x_i^1 -> y_j
-    arcs += [(0, v, 1, 0) for v in range(1, m + n + 1)]
-    arcs += [(x1 + 2 * i, x1 + 2 * i + 1, 1, 0) for i in range(1, n + 1)]
-    arcs += [(y + j, sink, 1, 0) for j in range(1, p + 1)]
-    return FlowNetwork(sink + 1, tuple(arcs), 0, sink)
+    b, a, c = B.flat, A_r.flat, C.flat  # entry (j, i) at flat[2k], flat[2k + 1]
+    tails = (*b[1::2], *[m + i for i in a[1::2]], *[x1 + 2 * i + 1 for i in c[1::2]])
+    heads = (*[x1 + 2 * j for j in b[::2] + a[::2]], *[y + j for j in c[::2]])
+    tails += (*(0,) * (m + n), *range(x1 + 2, y, 2), *range(y + 1, sink))
+    heads += (*range(1, m + n + 1), *range(x1 + 3, y + 1, 2), *(sink,) * p)
+    costs = (input_cost,) * (len(b) // 2) + (0,) * (len(tails) - len(b) // 2)
+    return FlowNetwork._from_columns(sink + 1, (tails, heads, (1,) * len(tails), costs), 0, sink)
 
 
 def max_linking(A_r: Pattern, B: Pattern, C: Pattern, input_cost: int = 0) -> Linking:

@@ -33,7 +33,6 @@ from structsys.cli import _TOP_KEYS, MAX_DIMENSION, SystemFileError, parse_syste
 from structsys.combinat import (
     Flow,
     FlowNetwork,
-    _residual,
     matching_network,
     min_cost_max_flow,
     residual_distances,
@@ -247,6 +246,23 @@ def reference_dijkstra(
     return dist
 
 
+def reference_residual(net: FlowNetwork) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """Residual graph of the zero flow: residual edge 2k is arc k forward and
+    2k + 1 its reverse, with their heads, capacities, costs, and per node the
+    residual edges leaving it in arc order."""
+    head: list[int] = []
+    rcap: list[int] = []
+    rcost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(net.nodes)]
+    for k, (u, v, cap, cost) in enumerate(net.arcs):
+        head += (v, u)
+        rcap += (cap, 0)
+        rcost += (cost, -cost)
+        adj[u].append(2 * k)
+        adj[v].append(2 * k + 1)
+    return head, rcap, rcost, adj
+
+
 def reference_min_cost_max_flow(net: FlowNetwork) -> Flow:
     """Maximum flow of minimum cost, by the primal-dual method.
 
@@ -269,7 +285,7 @@ def reference_min_cost_max_flow(net: FlowNetwork) -> Flow:
     lowest index.
     """
     nodes, source, sink = net.nodes, net.source, net.sink
-    head, rcap, rcost, adj = _residual(net)
+    head, rcap, rcost, adj = reference_residual(net)
     pot = [0] * nodes
     while True:
         dist = reference_dijkstra(head, rcap, rcost, adj, pot, source, sink)

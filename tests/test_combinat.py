@@ -282,6 +282,33 @@ def test_flow_rejects_bad_network():
         FlowNetwork(3, arcs, 0, 2)
 
 
+def test_flow_network_rejects_a_source_or_sink_out_of_range():
+    with pytest.raises(ValueError, match=r"^source 0 or sink 5 out of range$"):
+        FlowNetwork(2, (), 0, 5)
+    with pytest.raises(ValueError, match=r"^source -1 or sink 1 out of range$"):
+        FlowNetwork(2, ((0, 1, 1, 0),), -1, 1)
+    with pytest.raises(ValueError, match=r"^source 0 or sink 2 out of range$"):
+        FlowNetwork._from_columns(2, ((), (), (), ()), 0, 2)
+
+
+def test_flow_networks_are_equal_exactly_when_their_arcs_and_ends_are():
+    arcs = ((0, 1, 2, 3), (1, 2, 1, 0), (0, 2, 1, 5))
+    net = FlowNetwork(3, arcs, 0, 2)
+    assert net.arcs == arcs and net.columns == ((0, 1, 0), (1, 2, 2), (2, 1, 1), (3, 0, 5))
+    same = FlowNetwork(3, [list(arc) for arc in arcs], 0, 2)
+    assert same == net and hash(same) == hash(net) and len({net, same}) == 1
+    assert FlowNetwork(2, (), 0, 1).arcs == ()
+    for other in (
+        FlowNetwork(4, arcs, 0, 2),
+        FlowNetwork(3, arcs[:2], 0, 2),
+        FlowNetwork(3, arcs[1:] + arcs[:1], 0, 2),
+        FlowNetwork(3, ((0, 1, 2, 3), (1, 2, 1, 1), (0, 2, 1, 5)), 0, 2),
+        FlowNetwork(3, arcs, 1, 2),
+        FlowNetwork(3, arcs, 0, 1),
+    ):
+        assert other != net and len({net, other}) == 2
+
+
 def brute_force_path_systems(A: Pattern, C: Pattern):
     """All vertex-disjoint source-to-output path systems of the two-layer
     actuator graph, maximizing count then minimizing candidate-input paths."""

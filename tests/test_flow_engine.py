@@ -17,7 +17,7 @@ from structsys import Matching, identity_pattern
 from structsys.cli import load_system
 from structsys.combinat import Flow, FlowNetwork, extremal_weight_max_matching, min_cost_max_flow
 from structsys.combinat import matching_network as library_matching_network
-from structsys.combinat import flow_matching, residual_distances
+from structsys.combinat import _residual, flow_matching, residual_distances
 from structsys.core import Bigraph
 from structsys.diag import loop_augmented_bigraph
 from structsys.grank import cactus_bigraph, linking_network
@@ -30,6 +30,7 @@ from support import (
     rand_pattern,
     reference_cactus_bigraph,
     reference_min_cost_max_flow,
+    reference_residual,
 )
 
 
@@ -339,6 +340,45 @@ def test_engine_equals_the_reference_engine_on_the_bench_networks(monkeypatch):
         assert_same_as_reference(net, ours, theirs)
         kinds[kind] += 1
     assert set(kinds.values()) == {200} and len(kinds) == 10
+
+
+def test_residual_equals_the_reference_residual():
+    # every network the bench systems build, each equal to the network its
+    # arcs give; then random ones with self-loops, parallel arcs, arcs into
+    # the source and out of the sink, arcs of capacity 0 and no arcs at all
+    kinds = Counter()
+    for kind, net in bench_family_networks():
+        rebuilt = FlowNetwork(net.nodes, net.arcs, net.source, net.sink)
+        assert rebuilt == net and hash(rebuilt) == hash(net), kind
+        assert _residual(net) == reference_residual(net), kind
+        kinds[kind] += 1
+    assert set(kinds.values()) == {200} and len(kinds) == 10
+    rnd, seen = random.Random(41), Counter()
+    for trial in range(3000):
+        costs = COST_SETS[trial % len(COST_SETS)]
+        net = rand_network(rnd, rnd.randint(2, 9), rnd.randint(0, 24), costs, cap=7)
+        arcs = net.arcs
+        seen["self-loop"] += any(u == v for u, v, _, _ in arcs)
+        seen["parallel"] += len({(u, v) for u, v, _, _ in arcs}) < len(arcs)
+        seen["into source"] += any(v == net.source for _, v, _, _ in arcs)
+        seen["out of sink"] += any(u == net.sink for u, _, _, _ in arcs)
+        seen["capacity 0"] += any(cap == 0 for _, _, cap, _ in arcs)
+        seen["no arcs"] += not arcs
+        assert _residual(net) == reference_residual(net), net
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen
+
+
+def test_residual_distances_reject_a_foreign_flow_or_origin():
+    net = FlowNetwork(3, ((0, 1, 1, 0), (1, 2, 1, 0)), 0, 2)
+    flow = min_cost_max_flow(net)
+    assert residual_distances(net, flow, 2) == [0, 0, 0]
+    with pytest.raises(ValueError, match="^flow of 1 arcs and 3 potentials does not fit the network$"):
+        residual_distances(net, Flow((1,), 1, 0, flow.potentials), 2)
+    with pytest.raises(ValueError, match="^flow of 2 arcs and 0 potentials does not fit the network$"):
+        residual_distances(net, Flow(flow.arc_flow, 1, 0), 2)
+    for origin in (-1, 3):
+        with pytest.raises(ValueError, match=f"^origin {origin} out of range$"):
+            residual_distances(net, flow, origin)
 
 
 def test_engine_skips_the_searches_that_cannot_move_the_flow(monkeypatch):

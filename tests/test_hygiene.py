@@ -7,8 +7,9 @@ names something missing breaks ``from structsys import *``, a name
 defined in two modules is one definition too many, an engine that
 calls itself can raise ``RecursionError`` on a deep enough input, a
 module that handles a pattern's memo itself writes a second cache policy,
-and a module that indexes a flow network outside ``combinat`` knows a
-layout that its builder owns.
+a module that indexes a flow network outside ``combinat`` knows a
+layout that its builder owns, and a network built from its arc columns
+outside the two network builders skips the checks no other caller may.
 """
 
 from __future__ import annotations
@@ -272,4 +273,52 @@ def test_the_layout_check_sees_indexing_and_node_arithmetic(tmp_path):
         "probe.py:2 arcs",
         "probe.py:3 sink",
         "probe.py:4 source",
+    ]
+
+
+def _column_uses(path: Path) -> list[tuple[str, int, str, str]]:
+    """Places that name a network's ``columns`` or its trusted constructor
+    ``_from_columns``, as (file, line, top-level owner, name)."""
+    hits = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        hits += [
+            (path.name, node.lineno, owner, node.attr)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in ("columns", "_from_columns")
+        ]
+    return sorted(hits)
+
+
+def test_only_the_network_builders_use_the_arc_columns():
+    # combinat reads the columns; matching_network and linking_network alone
+    # write them, through the constructor that checks no arc
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    uses = [hit for path in modules for hit in _column_uses(path)]
+    builders = {(name, owner) for name, _, owner, attr in uses if attr == "_from_columns"}
+    assert builders == {("combinat.py", "matching_network"), ("grank.py", "linking_network")}
+    assert [hit for hit in uses if hit[3] == "columns" and hit[0] != "combinat.py"] == []
+
+
+def test_the_column_check_sees_reads_and_trusted_builds(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "def f(net):\n"
+        "    tails = net.columns[0]\n"
+        "    return FlowNetwork._from_columns(2, net.columns, 0, 1)\n"
+        "class Net:\n"
+        "    def build(self):\n"
+        "        return self._from_columns\n"
+        "make = FlowNetwork._from_columns\n"
+        "def columns(net):\n"
+        "    return net.arcs\n",
+        encoding="utf-8",
+    )
+    assert _column_uses(module) == [
+        ("probe.py", 2, "f", "columns"),
+        ("probe.py", 3, "f", "_from_columns"),
+        ("probe.py", 3, "f", "columns"),
+        ("probe.py", 6, "Net", "_from_columns"),
+        ("probe.py", 7, "<module>", "_from_columns"),
     ]
